@@ -66,8 +66,13 @@ def _emit(ctx, meta: dict, columns: list[str], rows: list[tuple]) -> None:
     base = os.environ.get(OUTPUT_DIR_ENV)
     if base and not os.path.isabs(output):
         output = os.path.join(base, output)
-    with open(output, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot write output file {output!r}: {exc.strerror or exc}"
+        ) from exc
 
 
 def _meta(spec: dict, seed=None, tolerances: dict | None = None) -> dict:

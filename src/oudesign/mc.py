@@ -32,8 +32,8 @@ from .model import (
     OuParams,
     SheetParams,
     TrendParams,
-    inv_correlation_matrix_1d,
-    inv_correlation_matrix_2d,
+    _apply_precision,
+    _precision_bands,
     sample_observations,
 )
 from .search import (
@@ -112,11 +112,14 @@ class EffCurvePoint:
 def gls_estimate(observations, design, params):
     """Generalized least squares estimate of the trend coefficients.
 
-    Uses the analytic inverse correlation (tridiagonal in 1D, Kronecker
-    in 2D); any common scale of the covariance cancels, so the
-    correlation suffices.  ``observations`` may be a single vector or a
-    ``(replicates, n_points)`` matrix; estimates come back with matching
-    leading shape.
+    The tridiagonal inverse correlation of each axis is applied to the
+    basis rows (in 2D along both axes of the grid, which is the Kronecker
+    product of the axis inverses without forming it); any common scale
+    of the covariance cancels, so the correlation suffices.  The normal
+    equations are solved once against the weighted basis, and all
+    replicates are estimated in one matrix product.  ``observations`` may
+    be a single vector or a ``(replicates, n_points)`` matrix; estimates
+    come back with matching leading shape.
     """
     y = np.asarray(observations, dtype=float)
     single = y.ndim == 1
@@ -127,25 +130,28 @@ def gls_estimate(observations, design, params):
             raise ValidationError("1D designs require OuParams")
         s = design.as_array()
         basis = np.vstack([np.ones_like(s), s])
-        c_inv = inv_correlation_matrix_1d(params, design)
+        weighted = _apply_precision(_precision_bands(params.beta, design), basis, 1)
     elif isinstance(design, GridDesign2D):
         if not isinstance(params, SheetParams):
             raise ValidationError("grid designs require SheetParams")
         s, t = design.flat_coordinates()
         basis = np.vstack([np.ones_like(s), s, t])
-        c_inv = inv_correlation_matrix_2d(params, design)
+        grid = basis.reshape(3, design.n, design.m)
+        grid = _apply_precision(_precision_bands(params.beta, design.s), grid, 1)
+        grid = _apply_precision(_precision_bands(params.gamma, design.t), grid, 2)
+        weighted = grid.reshape(3, design.size)
     else:
         raise ValidationError(f"unsupported design type {type(design).__name__}")
     if y.shape[1] != basis.shape[1]:
         raise ValidationError(
             f"observations have {y.shape[1]} columns, design has {basis.shape[1]} points"
         )
-    weighted = basis @ c_inv
     fim = weighted @ basis.T
     try:
-        est = np.linalg.solve(fim, weighted @ y.T).T
+        gls_map = np.linalg.solve(fim, weighted)
     except np.linalg.LinAlgError as exc:
         raise SingularFimError(f"design yields a singular information matrix: {exc}") from exc
+    est = y @ gls_map.T
     return est[0] if single else est
 
 

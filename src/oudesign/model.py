@@ -222,14 +222,48 @@ class TrendParams:
         return self.alpha0 + self.alpha1 * s + self.alpha2 * t
 
 
-def _scaled_gaps(beta: float, design: Design1D) -> np.ndarray:
+def _scaled_gaps(
+    beta: float, design: Design1D, min_scaled_gap: float = MIN_SCALED_GAP
+) -> np.ndarray:
     x = beta * np.diff(design.as_array())
-    if np.any(x < MIN_SCALED_GAP):
+    if np.any(x < min_scaled_gap):
         raise NearSingularDesignError(
-            f"scaled gap beta*d below {MIN_SCALED_GAP:g}; design points are "
+            f"scaled gap beta*d below {min_scaled_gap:g}; design points are "
             "numerically coincident at this length-scale"
         )
     return x
+
+
+def _precision_bands(
+    beta: float, design: Design1D, min_scaled_gap: float = MIN_SCALED_GAP
+) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the tridiagonal inverse correlation.
+
+    With ``p_k = exp(-beta*d_k)`` the diagonal is ``1/(1-p_1^2)``, then
+    ``1/(1-p_k^2) + p_{k-1}^2/(1-p_{k-1}^2)`` in the interior and
+    ``1/(1-p_{n-1}^2)`` at the end; the off-diagonal is
+    ``-p_k/(1-p_k^2)``.
+    """
+    x = _scaled_gaps(beta, design, min_scaled_gap)
+    p = np.exp(-x)
+    inv_1mp2 = 1.0 / (-np.expm1(-2.0 * x))  # 1/(1 - p_k^2), computed stably
+    diag = np.empty(design.n)
+    diag[0] = inv_1mp2[0]
+    diag[-1] = inv_1mp2[-1]
+    diag[1:-1] = inv_1mp2[1:] + p[:-1] ** 2 * inv_1mp2[:-1]
+    return diag, -p * inv_1mp2
+
+
+def _apply_precision(
+    bands: tuple[np.ndarray, np.ndarray], v: np.ndarray, axis: int
+) -> np.ndarray:
+    """Multiply ``v`` along ``axis`` by the tridiagonal matrix ``bands``."""
+    diag, off = bands
+    v = np.moveaxis(v, axis, -1)
+    out = v * diag
+    out[..., :-1] += off * v[..., 1:]
+    out[..., 1:] += off * v[..., :-1]
+    return np.moveaxis(out, -1, axis)
 
 
 def correlation_matrix_1d(params: OuParams, design: Design1D) -> np.ndarray:
@@ -248,30 +282,15 @@ def inv_correlation_matrix_1d(
 ) -> np.ndarray:
     """Analytic tridiagonal inverse of :func:`correlation_matrix_1d`.
 
-    With ``p_k = exp(-beta*d_k)`` the inverse has diagonal
-    ``1/(1-p_1^2)``, then ``1/(1-p_k^2) + p_{k-1}^2/(1-p_{k-1}^2)`` in the
-    interior, ``1/(1-p_{n-1}^2)`` at the end, and off-diagonal entries
-    ``-p_k/(1-p_k^2)``.  Everything beyond the first off-diagonal is
-    exactly zero.
+    The bands are those of :func:`_precision_bands`; everything beyond
+    the first off-diagonal is exactly zero.
 
     Raises :class:`NearSingularDesignError` when any ``beta*d_k`` falls
     below ``min_scaled_gap``.
     """
-    x = params.beta * np.diff(design.as_array())
-    if np.any(x < min_scaled_gap):
-        raise NearSingularDesignError(
-            f"scaled gap beta*d below {min_scaled_gap:g}; analytic inverse "
-            "would overflow"
-        )
-    p = np.exp(-x)
-    inv_1mp2 = 1.0 / (-np.expm1(-2.0 * x))  # 1/(1 - p_k^2), computed stably
+    diag, off = _precision_bands(params.beta, design, min_scaled_gap)
     n = design.n
     out = np.zeros((n, n))
-    diag = np.empty(n)
-    diag[0] = inv_1mp2[0]
-    diag[-1] = inv_1mp2[-1]
-    diag[1:-1] = inv_1mp2[1:] + p[:-1] ** 2 * inv_1mp2[:-1]
-    off = -p * inv_1mp2
     idx = np.arange(n)
     out[idx, idx] = diag
     out[idx[:-1], idx[1:]] = off
@@ -320,21 +339,28 @@ def inv_correlation_matrix_2d(
     return np.kron(inv_s, inv_t)
 
 
-def _cholesky_with_minor_report(matrix: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError:
-        # Locate the first failing leading minor for the error report.
-        k = 1
-        for k in range(1, matrix.shape[0] + 1):
-            try:
-                np.linalg.cholesky(matrix[:k, :k])
-            except np.linalg.LinAlgError:
-                break
+def _apply_ar1_factor(beta: float, design: Design1D, z: np.ndarray, axis: int) -> None:
+    """Multiply ``z`` in place along ``axis`` by the lower Cholesky factor
+    of the axis correlation matrix.
+
+    That factor is the exact AR(1) recursion ``x_0 = z_0``,
+    ``x_k = p_k*x_{k-1} + sqrt(1 - p_k^2)*z_k`` with ``p_k = exp(-beta*d_k)``.
+    """
+    x = beta * np.diff(design.as_array())
+    one_minus_p2 = -np.expm1(-2.0 * x)
+    bad = np.flatnonzero(~(one_minus_p2 > 0.0))
+    if bad.size:
+        # Gap k joins points k and k+1: leading minor k+2 is singular.
+        k = int(bad[0]) + 2
         raise NotPositiveDefiniteError(
-            f"covariance is not positive definite (leading minor {k})",
-            minor_index=k,
-        ) from None
+            f"covariance is not positive definite (leading minor {k})", minor_index=k
+        )
+    p = np.exp(-x)
+    q = np.sqrt(one_minus_p2)
+    v = np.moveaxis(z, axis, 0)
+    for k in range(1, v.shape[0]):
+        v[k] *= q[k - 1]
+        v[k] += p[k - 1] * v[k - 1]
 
 
 def sample_observations(
@@ -348,9 +374,12 @@ def sample_observations(
 
     Each row is the trend mean plus a zero-mean Gaussian vector whose
     covariance is the stationary variance times the correlation matrix.
-    Sampling goes through the Cholesky factor of the exact covariance and
-    a counter-based generator, so output is reproducible bit for bit for
-    a given ``seed`` (an int or a ``numpy.random.SeedSequence``).
+    Standard normals from a counter-based generator go through the exact
+    Cholesky factor of the correlation, applied as the AR(1) recursion of
+    the process along each axis (in 2D the factor is the Kronecker product
+    of the axis factors).  No dense covariance is formed, so memory is
+    O(count * n_points), and output is reproducible bit for bit for a
+    given ``seed`` (an int or a ``numpy.random.SeedSequence``).
 
     Returns an array of shape ``(count, n_points)``.
     """
@@ -362,25 +391,23 @@ def sample_observations(
         if not isinstance(params, OuParams):
             raise ValidationError("1D designs require OuParams")
         mean = trend.mean_1d(design)
-        corr = correlation_matrix_1d(params, design)
-        factor = _cholesky_with_minor_report(corr)
+        axes = ((params.beta, design),)
+        shape = (count, design.n)
     elif isinstance(design, GridDesign2D):
         if not isinstance(params, SheetParams):
             raise ValidationError("grid designs require SheetParams")
-        _check_grid_size(design, MAX_GRID_POINTS)
         mean = trend.mean_2d(design)
-        # chol(A (x) B) = chol(A) (x) chol(B): factor the axes, not the grid.
-        fs = _cholesky_with_minor_report(
-            correlation_matrix_1d(OuParams(params.beta), design.s)
-        )
-        ft = _cholesky_with_minor_report(
-            correlation_matrix_1d(OuParams(params.gamma), design.t)
-        )
-        factor = np.kron(fs, ft)
+        # chol(A (x) B) = chol(A) (x) chol(B): factor each grid axis.
+        axes = ((params.beta, design.s), (params.gamma, design.t))
+        shape = (count, design.n, design.m)
     else:
         raise ValidationError(f"unsupported design type {type(design).__name__}")
 
-    factor = factor * math.sqrt(params.stationary_variance)
     rng = np.random.Generator(np.random.Philox(seed))
     z = rng.standard_normal((count, mean.size))
-    return mean[None, :] + z @ factor.T
+    grid = z.reshape(shape)
+    for axis, (beta, axis_design) in enumerate(axes, start=1):
+        _apply_ar1_factor(beta, axis_design, grid, axis)
+    z *= math.sqrt(params.stationary_variance)
+    z += mean
+    return z

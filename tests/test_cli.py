@@ -181,6 +181,19 @@ def test_byte_identical_reruns(runner, tmp_path):
     assert out1 == out2
 
 
+def test_unwritable_output_exits_2(runner, tmp_path):
+    target = str(tmp_path / "missing_dir" / "x.csv")
+    args = ["fim", "--model", "process", "--beta", "1", "--design", "0,0.5,1"]
+    result = runner.invoke(main, ["-o", target] + args)
+    assert result.exit_code == 2
+    assert "cannot write output file" in result.stderr
+    result = runner.invoke(main, ["--json-errors", "-o", target] + args)
+    assert result.exit_code == 2
+    err = json.loads(result.stderr.strip().splitlines()[-1])
+    assert err["error"] == "ValidationError"
+    assert err["exit_code"] == 2
+
+
 def test_output_file_and_env_dir(runner, tmp_path, monkeypatch):
     monkeypatch.setenv("OUDESIGN_OUTPUT_DIR", str(tmp_path))
     run_ok(runner, ["-o", "limits.csv", "asymptotics", "limits", "--beta", "1"])

@@ -38,9 +38,10 @@ def test_gls_noiseless_recovers_trend_2d():
     assert np.allclose(est, [1.0, 2.0, -0.5], atol=1e-10)
 
 
-def test_gls_matches_dense_solve():
+@pytest.mark.parametrize("n", [5, 300])
+def test_gls_matches_dense_solve(n):
     rng = np.random.default_rng(50)
-    design = random_design(rng, 5)
+    design = random_design(rng, n)
     params = OuParams(0.8)
     y = rng.standard_normal((7, design.n))
     assert np.allclose(
@@ -48,9 +49,10 @@ def test_gls_matches_dense_solve():
     )
 
 
-def test_gls_matches_dense_solve_2d():
+@pytest.mark.parametrize("n, m", [(3, 3), (15, 12)])
+def test_gls_matches_dense_solve_2d(n, m):
     rng = np.random.default_rng(51)
-    design = GridDesign2D(random_design(rng, 3), random_design(rng, 3))
+    design = GridDesign2D(random_design(rng, n), random_design(rng, m))
     params = SheetParams(1.1, 0.6)
     y = rng.standard_normal((4, design.size))
     assert np.allclose(
@@ -229,3 +231,32 @@ def test_mcconfig_validation():
         McConfig(replicates=0)
     with pytest.raises(ValidationError):
         McConfig(sigma=-0.1)
+
+
+def test_sampler_and_gls_memory_is_linear_in_grid_size():
+    # a dense 6400x6400 covariance alone would take 328 MB
+    import tracemalloc
+
+    params = SheetParams(2.0, 3.0, sigma=0.5)
+    design = GridDesign2D.equidistant(1.0 / 79, 1.0 / 79, 80, 80)
+    tracemalloc.start()
+    try:
+        y = sample_observations(params, design, TrendParams(1.0, 1.0, 1.0), 8, seed=1)
+        gls_estimate(y, design, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_efficiency_2d_runs_above_dense_grid_cap():
+    from oudesign.model import MAX_GRID_POINTS
+
+    params = SheetParams(5.0, 5.0)
+    design = GridDesign2D.equidistant(1.0 / 119, 1.0 / 119, 120, 120)
+    assert design.size > MAX_GRID_POINTS
+    rep = run_efficiency_2d(params, McConfig(replicates=4, seed=1, design_pair=(design, design)))
+    assert rep.eff_percent == 100.0 and np.isfinite(rep.mse_k)
+    trend = TrendParams(1.0, -2.0, 0.5)
+    est = gls_estimate(trend.mean_2d(design), design, params)
+    assert np.allclose(est, [1.0, -2.0, 0.5], atol=1e-10)

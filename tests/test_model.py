@@ -218,11 +218,42 @@ def test_sampler_validation():
         )
 
 
-def test_cholesky_failure_reports_minor(monkeypatch):
-    # force a non-PD matrix through the sampler's factorization helper
-    from oudesign import model as model_mod
-
-    bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
+def test_cholesky_failure_reports_minor():
+    # beta*d underflows to zero at the first gap, so the first two points
+    # coincide for the sampler: leading minor 2 is singular
     with pytest.raises(NotPositiveDefiniteError) as exc:
-        model_mod._cholesky_with_minor_report(bad)
+        sample_observations(
+            OuParams(1e-300), Design1D((0.0, 1e-30, 1.0)), TrendParams(0.0, 0.0), 2, 0
+        )
     assert exc.value.minor_index == 2
+
+
+def _dense_sample(params, design, mean, corr, count, seed):
+    # the sampler's draws through a dense Cholesky factor of the covariance
+    z = np.random.Generator(np.random.Philox(seed)).standard_normal((count, mean.size))
+    factor = np.sqrt(params.stationary_variance) * np.linalg.cholesky(corr)
+    return mean[None, :] + z @ factor.T
+
+
+def test_sampler_matches_dense_cholesky_1d():
+    rng = np.random.default_rng(60)
+    design = random_design(rng, 200)
+    params = OuParams(1.3, sigma=0.7)
+    trend = TrendParams(0.5, -2.0)
+    y = sample_observations(params, design, trend, 16, seed=21)
+    dense = _dense_sample(
+        params, design, trend.mean_1d(design), correlation_direct_1d(params, design), 16, 21
+    )
+    assert np.max(np.abs(y - dense)) < 1e-12 * np.sqrt(params.stationary_variance)
+
+
+def test_sampler_matches_dense_cholesky_2d():
+    rng = np.random.default_rng(61)
+    design = GridDesign2D(random_design(rng, 12), random_design(rng, 9))
+    params = SheetParams(0.9, 1.6, sigma=0.4)
+    trend = TrendParams(1.0, 0.5, -1.5)
+    y = sample_observations(params, design, trend, 16, seed=22)
+    dense = _dense_sample(
+        params, design, trend.mean_2d(design), correlation_direct_2d(params, design), 16, 22
+    )
+    assert np.max(np.abs(y - dense)) < 1e-12 * np.sqrt(params.stationary_variance)
