@@ -88,7 +88,6 @@ from .search import (
     kopt_curve_1d,
     kopt_surface_2d,
     nine_point_restricted_2d,
-    scan_kopt_curve,
     three_point_limit_objective,
     three_point_restricted_1d,
     two_point_k_optimal,
@@ -148,7 +147,6 @@ __all__ = [
     "KoptSurfacePoint2D",
     "kopt_curve_1d",
     "kopt_surface_2d",
-    "scan_kopt_curve",
     # asymptotics
     "DoublingReport",
     "CondLimitCell",

@@ -18,14 +18,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .exceptions import ValidationError
-from .fim import fim_entries_equidistant_1d, fim_entries_equidistant_2d
+from .fim import FimEntries2D, _check_equidistant_args, _equidistant_entries
+from .fim import fim_entries_equidistant_1d
 from .model import OuParams, SheetParams
 from .objectives import (
+    _cond3_from_entries,
+    _require_positive_definite,
     d_objective_1d,
     d_objective_2d,
     k_objective_1d,
-    k_objective_2d,
 )
 
 __all__ = [
@@ -150,31 +154,43 @@ def doubling_ratio_2d(params: SheetParams, n: int, m: int, mode: str) -> Doublin
     m = _check_n("m", m)
     if mode not in MODES_2D:
         raise ValidationError(f"mode must be one of {MODES_2D}, got {mode!r}")
-    base = fim_entries_equidistant_2d(params, 1.0 / n, 1.0 / m, n + 1, m + 1)
-    if mode == "infill-both":
-        other = fim_entries_equidistant_2d(params, 0.5 / n, 0.5 / m, 2 * n + 1, 2 * m + 1)
+    if mode.startswith("infill"):
         limits = (1.0, 1.0)
-    elif mode == "infill-one":
-        other = fim_entries_equidistant_2d(params, 0.5 / n, 1.0 / m, 2 * n + 1, m + 1)
-        limits = (1.0, 1.0)
-    elif mode == "domain-both":
-        other = fim_entries_equidistant_2d(params, 1.0 / n, 1.0 / m, 2 * n + 1, 2 * m + 1)
-        limits = (
-            domain_doubling_limit_d_axis(params.beta) * domain_doubling_limit_d_axis(params.gamma),
-            None,
-        )
-    else:  # domain-one
-        other = fim_entries_equidistant_2d(params, 1.0 / n, 1.0 / m, 2 * n + 1, m + 1)
-        limits = (domain_doubling_limit_d_axis(params.beta), None)
+    else:
+        limit_det = domain_doubling_limit_d_axis(params.beta)
+        if mode == "domain-both":
+            limit_det *= domain_doubling_limit_d_axis(params.gamma)
+        limits = (limit_det, None)
+    ratio_det, ratio_cond = _grid_doubling_ratios(params.beta, params.gamma, n, m, mode)
     return DoublingReport(
         mode=mode,
         n=n,
         m=m,
-        ratio_det=d_objective_2d(other) / d_objective_2d(base),
-        ratio_cond=k_objective_2d(other.matrix()) / k_objective_2d(base.matrix()),
+        ratio_det=float(ratio_det),
+        ratio_cond=float(ratio_cond),
         limit_det=limits[0],
         limit_cond=limits[1],
     )
+
+
+def _grid_doubling_ratios(beta, gamma, n, m, mode):
+    """Determinant and condition-number ratios of the doubled grid over
+    the partition {i/n} x {j/m}; broadcasts over rates and sizes."""
+
+    def criteria(s_step, s_points, t_step, t_points):
+        _check_equidistant_args(beta, s_step, s_points)
+        _check_equidistant_args(gamma, t_step, t_points)
+        entries = FimEntries2D(
+            _equidistant_entries(beta, s_step, s_points),
+            _equidistant_entries(gamma, t_step, t_points),
+        )
+        return d_objective_2d(entries), _require_positive_definite(*_cond3_from_entries(entries))
+
+    h = 0.5 if mode.startswith("infill") else 1.0
+    t_other = (h / m, 2 * m + 1) if mode.endswith("both") else (1.0 / m, m + 1)
+    det_base, k_base = criteria(1.0 / n, n + 1, 1.0 / m, m + 1)
+    det_other, k_other = criteria(h / n, 2 * n + 1, *t_other)
+    return det_other / det_base, k_other / k_base
 
 
 @dataclass(frozen=True)
@@ -211,27 +227,20 @@ def cond_limit_surface_2d(
         raise ValidationError("n_sequence needs at least three entries")
     if any(2 * a != b for a, b in zip(n_sequence, n_sequence[1:])):
         raise ValidationError("n_sequence must double at each step")
-    ratio_mode = "domain-both" if mode == "both" else "domain-one"
-    cells = []
-    for b in betas:
-        for g in gammas:
-            params = SheetParams(float(b), float(g))
-            ratios = [
-                doubling_ratio_2d(params, k, k, ratio_mode).ratio_cond
-                for k in n_sequence
-            ]
-            extrapolants = [2.0 * r2 - r1 for r1, r2 in zip(ratios, ratios[1:])]
-            err = abs(extrapolants[-1] - extrapolants[-2])
-            cells.append(
-                CondLimitCell(
-                    beta=float(b),
-                    gamma=float(g),
-                    estimate=extrapolants[-1],
-                    error_estimate=err,
-                    converged=bool(err <= tol),
-                )
-            )
-    return cells
+    betas = [_check_rate(b) for b in betas]
+    gammas = [_check_rate(g) for g in gammas]
+    ks = np.array([_check_n("n", k) for k in n_sequence])
+    _, ratios = _grid_doubling_ratios(
+        np.array(betas)[:, None, None], np.array(gammas)[None, :, None], ks, ks, "domain-" + mode
+    )
+    extrapolants = 2.0 * ratios[..., 1:] - ratios[..., :-1]
+    estimates = extrapolants[..., -1]
+    errors = np.abs(estimates - extrapolants[..., -2])
+    return [
+        CondLimitCell(b, g, float(estimates[i, j]), float(errors[i, j]), bool(errors[i, j] <= tol))
+        for i, b in enumerate(betas)
+        for j, g in enumerate(gammas)
+    ]
 
 
 def det_decomposition_factor(which: str, n: int, x: float) -> float:

@@ -86,22 +86,31 @@ class FimEntries2D:
         )
 
 
-def fim_entries_1d(params: OuParams, design: Design1D) -> FimEntries1D:
-    """Closed-form information entries for an arbitrary 1D design."""
-    s = design.as_array()
-    x = _scaled_gaps(params.beta, design)  # rejects numerically coincident points
+def _points_entries(rate, points) -> FimEntries1D:
+    """Unvalidated entries of the designs whose points run along axis 0,
+    batched over trailing axes.  A zero gap contributes its limit, nothing,
+    so merged points give the design without the duplicate."""
+    s = np.asarray(points, dtype=float)
+    x = rate * (s[1:] - s[:-1])
     p = np.exp(-x)
-    one_minus_p = -np.expm1(-x)
-    one_minus_p2 = -np.expm1(-2.0 * x)
-    l1 = 1.0 + float(np.sum(one_minus_p / (1.0 + p)))
-    l2 = s[0] + float(np.sum((s[1:] - s[:-1] * p) / (1.0 + p)))
-    l3 = s[0] ** 2 + float(np.sum((s[1:] - s[:-1] * p) ** 2 / one_minus_p2))
+    u = s[1:] - s[:-1] * p  # exactly 0 across a zero gap
+    one_minus_p2 = -np.expm1(-2.0 * x) + (x == 0.0)  # 1 at a zero gap, where u is 0
+    l1 = 1.0 + np.add.reduce(-np.expm1(-x) / (1.0 + p))
+    l2 = s[0] + np.add.reduce(u / (1.0 + p))
+    l3 = s[0] ** 2 + np.add.reduce(u * u / one_minus_p2)
     return FimEntries1D(l1, l2, l3)
 
 
-def _equidistant_triple(beta, d, n):
-    """Vector-friendly equidistant entries for {0, d, ..., (n-1)d}."""
-    x = beta * np.asarray(d, dtype=float)
+def fim_entries_1d(params: OuParams, design: Design1D) -> FimEntries1D:
+    """Closed-form information entries for an arbitrary 1D design."""
+    _scaled_gaps(params.beta, design)  # rejects numerically coincident points
+    e = _points_entries(params.beta, design.as_array())
+    return FimEntries1D(float(e.l1), float(e.l2), float(e.l3))
+
+
+def _equidistant_entries(rate, d, n) -> FimEntries1D:
+    """Unvalidated entries of {0, d, ..., (n-1)d}; broadcasts over d and n."""
+    x = rate * np.asarray(d, dtype=float)
     p = np.exp(-x)
     one_minus_p = -np.expm1(-x)
     one_minus_p2 = -np.expm1(-2.0 * x)
@@ -117,11 +126,13 @@ def _equidistant_triple(beta, d, n):
             + p * p / one_minus_p2
         )
     )
-    return l1, l2, l3
+    return FimEntries1D(l1, l2, l3)
 
 
-def _check_equidistant_args(beta: float, d, n: int) -> None:
-    if int(n) != n or n < 2:
+def _check_equidistant_args(beta, d, n) -> None:
+    """Validate rates, steps and point counts; each may be an array."""
+    n = np.asarray(n)
+    if np.any(n != np.floor(n)) or np.any(n < 2):
         raise ValidationError(f"n must be an integer >= 2, got {n!r}")
     d = np.asarray(d, dtype=float)
     if np.any(~np.isfinite(d)) or np.any(d <= 0.0):
@@ -139,10 +150,10 @@ def fim_entries_equidistant_1d(params: OuParams, d: float, n: int) -> FimEntries
     be an array for vectorized evaluation.
     """
     _check_equidistant_args(params.beta, d, n)
-    l1, l2, l3 = _equidistant_triple(params.beta, d, int(n))
+    e = _equidistant_entries(params.beta, d, int(n))
     if np.ndim(d) == 0:
-        return FimEntries1D(float(l1), float(l2), float(l3))
-    return FimEntries1D(l1, l2, l3)
+        return FimEntries1D(float(e.l1), float(e.l2), float(e.l3))
+    return e
 
 
 def fim_1d(params: OuParams, design: Design1D) -> np.ndarray:

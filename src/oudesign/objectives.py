@@ -9,10 +9,10 @@ Three criteria appear throughout the package:
   strictly increasing transform of the condition number that is cheaper
   to optimize: ``k = g(r)`` with ``g(x) = ((sqrt(x) + sqrt(x-4))/2)^2``.
 
-The 3x3 condition number uses the trigonometric closed form for the
-eigenvalues of a symmetric 3x3 matrix; the largest eigenvalue pairs with
-``cos(phi)`` and the smallest with ``cos(phi + 2*pi/3)``, a pairing that
-is validated against a generic symmetric eigensolver in the test suite.
+Every criterion also takes entries whose fields are arrays, so searches
+and asymptotics evaluate whole grids here.  The 3x3 condition number
+takes its largest eigenvalue from the trigonometric closed form and the
+other two from the deflated quadratic (see :func:`_eigen3_from_invariants`).
 """
 
 from __future__ import annotations
@@ -126,12 +126,24 @@ def _det3_symmetric(a: np.ndarray) -> float:
 
 
 def _eigen3_from_invariants(trace, trace_sq, det, *, identity_tol=IDENTITY_MULTIPLE_TOL):
-    """Trig-formula eigenvalues from (tr A, tr A^2, det A); array-capable.
+    """Eigenvalues from (tr A, tr A^2, det A); array-capable.
 
-    Returns (rho, phi, lam_max, lam_mid, lam_min).  Where the dispersion
-    invariant 3*tr(A^2) - tr(A)^2 vanishes (identity multiples) the
-    eigenvalues are all tr/3 and rho, phi take their limit values 1, 0.
+    Returns (rho, phi, lam_max, lam_mid, lam_min).  lam_mid and lam_min
+    are the roots of t^2 - (tr - lam_max)*t + det/lam_max, the smaller as
+    product over larger, so it keeps its digits at large condition
+    numbers.  Identity multiples give rho, phi their limits 1, 0.
     """
+    rho, phi, lam_max = _largest_eigen3(trace, trace_sq, det, identity_tol)
+    rest = trace - lam_max
+    prod = det / np.where(lam_max == 0.0, 1.0, lam_max)  # det is 0 where lam_max is
+    root = np.sqrt(np.maximum(rest * rest - 4.0 * prod, 0.0))
+    big = 0.5 * (rest + np.copysign(root, rest))
+    small = prod / np.where(big == 0.0, 1.0, big)
+    return rho, phi, lam_max, np.maximum(big, small), np.minimum(big, small)
+
+
+def _largest_eigen3(trace, trace_sq, det, identity_tol):
+    """(rho, phi, lam_max) from the trigonometric formula."""
     trace = np.asarray(trace, dtype=float)
     trace_sq = np.asarray(trace_sq, dtype=float)
     det = np.asarray(det, dtype=float)
@@ -147,25 +159,24 @@ def _eigen3_from_invariants(trace, trace_sq, det, *, identity_tol=IDENTITY_MULTI
     rho = np.where(degenerate, 1.0, rho)
     phi = np.arccos(rho) / 3.0
     amp = np.sqrt(2.0 * np.where(degenerate, 0.0, disc))
-    lam_max = (trace + amp * np.cos(phi)) / 3.0
-    lam_min = (trace + amp * np.cos(phi + 2.0 * math.pi / 3.0)) / 3.0
-    lam_mid = trace - lam_max - lam_min
-    return rho, phi, lam_max, lam_mid, lam_min
+    return rho, phi, (trace + amp * np.cos(phi)) / 3.0
 
 
-def eigen3_closed(matrix: np.ndarray, *, identity_tol: float = IDENTITY_MULTIPLE_TOL) -> Eigen3Closed:
-    """Eigenvalues of a symmetric 3x3 matrix via the trigonometric formula."""
+def _invariants3(matrix: np.ndarray):
+    """(tr A, tr A^2, det A) of a symmetric 3x3 matrix, after validation."""
     a = np.asarray(matrix, dtype=float)
     if a.shape != (3, 3):
         raise ValidationError(f"expected a 3x3 matrix, got shape {a.shape}")
     scale = np.max(np.abs(a))
     if np.max(np.abs(a - a.T)) > 1e-8 * max(scale, 1.0):
         raise ValidationError("matrix is not symmetric")
-    trace = float(np.trace(a))
-    trace_sq = float(np.sum(a * a))  # tr(A^2) for symmetric A
-    det = _det3_symmetric(a)
+    return float(np.trace(a)), float(np.sum(a * a)), _det3_symmetric(a)
+
+
+def eigen3_closed(matrix: np.ndarray, *, identity_tol: float = IDENTITY_MULTIPLE_TOL) -> Eigen3Closed:
+    """Eigenvalues of a symmetric 3x3 matrix in closed form."""
     rho, phi, lam_max, lam_mid, lam_min = _eigen3_from_invariants(
-        trace, trace_sq, det, identity_tol=identity_tol
+        *_invariants3(matrix), identity_tol=identity_tol
     )
     return Eigen3Closed(
         rho=float(rho),
@@ -178,8 +189,8 @@ def _cond3_from_invariants(trace, trace_sq, det, *, identity_tol=IDENTITY_MULTIP
     """Array-capable condition number from matrix invariants.
 
     No positivity checks; callers own validation.  Invalid (non-PD)
-    inputs produce non-positive smallest eigenvalues, which the scalar
-    wrapper turns into errors.
+    inputs produce non-positive smallest eigenvalues, which
+    :func:`_require_positive_definite` turns into errors.
     """
     _, _, lam_max, _, lam_min = _eigen3_from_invariants(
         trace, trace_sq, det, identity_tol=identity_tol
@@ -188,29 +199,46 @@ def _cond3_from_invariants(trace, trace_sq, det, *, identity_tol=IDENTITY_MULTIP
         return lam_max / lam_min, lam_min
 
 
-def k_objective_2d(fim: np.ndarray, *, identity_tol: float = IDENTITY_MULTIPLE_TOL) -> float:
-    """Condition number of a positive definite symmetric 3x3 matrix.
+def _cond3_from_entries(entries: FimEntries2D):
+    """Condition number of the grid matrix straight from its axis
+    entries, batched over broadcastable entry arrays.
 
-    The largest eigenvalue uses ``cos(phi)``, the smallest
-    ``cos(phi + 2*pi/3)``; their ratio is the value a K-optimal grid
-    design minimizes.
+    Returns (cond, lam_min).  Sums are grouped so that swapping the two
+    axes reproduces every value bit for bit.
     """
-    eig = eigen3_closed(fim, identity_tol=identity_tol)
-    lam_max, _, lam_min = eig.eigenvalues
-    if lam_min <= 0.0:
+    s, t = entries.s_entries, entries.t_entries
+    a = s.l1 * t.l1
+    b = s.l3 * t.l1
+    c = s.l1 * t.l3
+    o1 = s.l2 * t.l1
+    o2 = s.l1 * t.l2
+    o3 = s.l2 * t.l2
+    trace = a + (b + c)
+    trace_sq = a * a + (b * b + c * c) + 2.0 * ((o1 * o1 + o2 * o2) + o3 * o3)
+    return _cond3_from_invariants(trace, trace_sq, d_objective_2d(entries))
+
+
+def _require_positive_definite(cond, lam_min):
+    """The condition number, once every smallest eigenvalue is positive."""
+    if not np.all(lam_min > 0.0):
         raise NumericalError(
-            f"matrix is not positive definite (smallest eigenvalue {lam_min:g})"
+            f"matrix is not positive definite (smallest eigenvalue {np.min(lam_min):g})"
         )
-    return lam_max / lam_min
+    return cond
+
+
+def k_objective_2d(fim: np.ndarray, *, identity_tol: float = IDENTITY_MULTIPLE_TOL) -> float:
+    """Condition number of a positive definite symmetric 3x3 matrix,
+    the value a K-optimal grid design minimizes."""
+    cond, lam_min = _cond3_from_invariants(*_invariants3(fim), identity_tol=identity_tol)
+    return float(_require_positive_definite(cond, lam_min))
 
 
 def d_objective_2d(entries: FimEntries2D) -> float:
     """Determinant of the assembled 3x3 grid information matrix,
     in its factored form l1*m1 * (l1*l3 - l2^2) * (m1*m3 - m2^2)."""
     s, t = entries.s_entries, entries.t_entries
-    ds = s.l1 * s.l3 - s.l2 * s.l2
-    dt = t.l1 * t.l3 - t.l2 * t.l2
-    return (s.l1 * t.l1) * (ds * dt)
+    return (s.l1 * t.l1) * (d_objective_1d(s) * d_objective_1d(t))
 
 
 def evaluate_design_1d(params: OuParams, design: Design1D) -> ObjectiveEval:
@@ -229,7 +257,7 @@ def evaluate_design_2d(params: SheetParams, design: GridDesign2D) -> ObjectiveEv
     entries = fim_entries_2d(params, design)
     return ObjectiveEval(
         d_value=d_objective_2d(entries),
-        k_value=k_objective_2d(entries.matrix()),
+        k_value=float(_require_positive_definite(*_cond3_from_entries(entries))),
         r_value=None,
         entries=entries,
     )

@@ -32,9 +32,15 @@ import numpy as np
 
 from ._scalar import bisect_then_secant, golden_section_min
 from .exceptions import ValidationError
-from .fim import _equidistant_triple, fim_entries_equidistant_1d
+from .fim import FimEntries2D, _equidistant_entries, _points_entries, fim_entries_equidistant_1d
 from .model import OuParams, SheetParams
-from .objectives import _cond3_from_invariants, condition_from_surrogate
+from .objectives import (
+    _cond3_from_entries,
+    condition_from_surrogate,
+    d_objective_1d,
+    d_objective_2d,
+    r_objective_1d,
+)
 
 __all__ = [
     "SearchResult",
@@ -50,7 +56,6 @@ __all__ = [
     "four_point_grid_k_optimal",
     "kopt_curve_1d",
     "kopt_surface_2d",
-    "scan_kopt_curve",
 ]
 
 BOUNDARY_TOL = 1e-6
@@ -154,60 +159,12 @@ def three_point_limit_objective(d):
     return float(out) if out.ndim == 0 else out
 
 
-def _restricted_axis_triples(rate, d):
-    """Entry triple of the axis design {0, d, 1}, vectorized in d.
-
-    Continuous on [0, 1]: at the endpoints the 0/0 terms are replaced by
-    their limits, which reproduce the two-point design {0, 1} exactly.
-    """
+def _free_point_design(d):
+    """Points of the design {0, d, 1} along axis 0, broadcast over d."""
     d = np.asarray(d, dtype=float)
-    g2 = 1.0 - d
-    p1 = np.exp(-rate * d)
-    p2 = np.exp(-rate * g2)
-    l1 = 1.0 + (-np.expm1(-rate * d)) / (1.0 + p1) + (-np.expm1(-rate * g2)) / (1.0 + p2)
-    l2 = d / (1.0 + p1) + (1.0 - d * p2) / (1.0 + p2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = np.where(d == 0.0, 0.0, d * d / (-np.expm1(-2.0 * rate * d)))
-        t2 = np.where(
-            d == 1.0, 0.0, (1.0 - d * p2) ** 2 / (-np.expm1(-2.0 * rate * g2))
-        )
-    l3 = t1 + t2
-    return l1, l2, l3
-
-
-def _det_from_triple(t):
-    l1, l2, l3 = t
-    return l1 * l3 - l2 * l2
-
-
-def _surrogate_from_triple(t):
-    l1, l2, l3 = t
-    tr = l1 + l3
-    return tr * tr / (l1 * l3 - l2 * l2)
-
-
-def _cond3_from_axis_triples(lt, mt):
-    """Condition number of the assembled 3x3 matrix from two axis
-    triples, vectorized and grouped so the axis swap is bitwise exact."""
-    l1, l2, l3 = lt
-    m1, m2, m3 = mt
-    a = l1 * m1
-    b = l3 * m1
-    c = l1 * m3
-    o1 = l2 * m1
-    o2 = l1 * m2
-    o3 = l2 * m2
-    trace = a + (b + c)
-    trace_sq = a * a + (b * b + c * c) + 2.0 * ((o1 * o1 + o2 * o2) + o3 * o3)
-    det = a * ((l1 * l3 - l2 * l2) * (m1 * m3 - m2 * m2))
-    cond, _ = _cond3_from_invariants(trace, trace_sq, det)
-    return cond
-
-
-def _det3_from_axis_triples(lt, mt):
-    l1, l2, l3 = lt
-    m1, m2, m3 = mt
-    return (l1 * m1) * ((l1 * l3 - l2 * l2) * (m1 * m3 - m2 * m2))
+    points = np.empty((3,) + d.shape)
+    points[0], points[1], points[2] = 0.0, d, 1.0
+    return points
 
 
 def _snap_to_boundary(x, lo, hi, boundary_tol):
@@ -240,20 +197,18 @@ def three_point_restricted_1d(
     if grid_resolution < 3:
         raise ValidationError("grid_resolution must be at least 3")
 
-    grid = np.linspace(0.0, 1.0, grid_resolution)
-    triples = _restricted_axis_triples(beta, grid)
     if crit == "D":
-        values = -_det_from_triple(triples)
 
         def f(d):
-            return -_det_from_triple(_restricted_axis_triples(beta, d))
+            return -d_objective_1d(_points_entries(beta, _free_point_design(d)))
 
     else:
-        values = _surrogate_from_triple(triples)
 
         def f(d):
-            return _surrogate_from_triple(_restricted_axis_triples(beta, d))
+            return r_objective_1d(_points_entries(beta, _free_point_design(d)))
 
+    grid = np.linspace(0.0, 1.0, grid_resolution)
+    values = f(grid)
     i = int(np.argmin(values))  # ties break toward the smaller d
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid_resolution - 1)]
@@ -320,8 +275,7 @@ def two_point_k_optimal(params: OuParams, tol: float = 1e-10) -> SearchResult:
         root, iters, ok = bisect_then_secant(h, lo, hi, 1e-3, tol)
     except ValueError as exc:
         raise ValidationError(f"two-point root bracket failed: {exc}") from exc
-    entries = fim_entries_equidistant_1d(params, root, 2)
-    value = condition_from_surrogate(_surrogate_from_triple((entries.l1, entries.l2, entries.l3)))
+    value = condition_from_surrogate(r_objective_1d(fim_entries_equidistant_1d(params, root, 2)))
     return SearchResult(
         argopt=float(root),
         value=float(value),
@@ -349,11 +303,12 @@ def equidistant_k_optimal_1d(params: OuParams, n: int, tol: float = 1e-10) -> Se
     # At small rates the optimal step shrinks like rate/(n-1); open the
     # scan window accordingly (but keep scaled gaps clear of underflow).
     lo = max(min(1e-4, 1e-2 * beta / (n - 1)), 1e-11 / beta)
-    grid = np.geomspace(lo, 1e4, 2001)
-    r = _surrogate_from_triple(_equidistant_triple(beta, grid, n))
 
     def f(d):
-        return _surrogate_from_triple(_equidistant_triple(beta, d, n))
+        return r_objective_1d(_equidistant_entries(beta, d, n))
+
+    grid = np.geomspace(lo, 1e4, 2001)
+    r = f(grid)
 
     interior = np.flatnonzero((r[1:-1] < r[:-2]) & (r[1:-1] <= r[2:])) + 1
     iters = 0
@@ -391,7 +346,7 @@ def equidistant_d_monotone_check(params: OuParams, n: int, d_grid) -> bool:
     d = np.asarray(sorted(float(x) for x in d_grid), dtype=float)
     if d.size < 2 or np.any(d <= 0.0):
         raise ValidationError("d_grid needs at least two positive step sizes")
-    det = _det_from_triple(_equidistant_triple(params.beta, d, int(n)))
+    det = d_objective_1d(_equidistant_entries(params.beta, d, int(n)))
     return bool(np.all(np.diff(det) > 0.0))
 
 
@@ -458,26 +413,25 @@ def nine_point_restricted_2d(
         raise ValidationError("grid_resolution must be at least 3")
     beta, gamma = params.beta, params.gamma
 
-    grid = np.linspace(0.0, 1.0, grid_resolution)
-    step = grid[1] - grid[0]
-    lt = _restricted_axis_triples(beta, grid[:, None])
-    mt = _restricted_axis_triples(gamma, grid[None, :])
+    def entries(d, dl):
+        return FimEntries2D(
+            _points_entries(beta, _free_point_design(d)),
+            _points_entries(gamma, _free_point_design(dl)),
+        )
+
     if crit == "D":
 
         def f2(d, dl):
-            return -_det3_from_axis_triples(
-                _restricted_axis_triples(beta, d), _restricted_axis_triples(gamma, dl)
-            )
+            return -d_objective_2d(entries(d, dl))
 
-        values = -_det3_from_axis_triples(lt, mt)
     else:
 
         def f2(d, dl):
-            return _cond3_from_axis_triples(
-                _restricted_axis_triples(beta, d), _restricted_axis_triples(gamma, dl)
-            )
+            return _cond3_from_entries(entries(d, dl))[0]
 
-        values = _cond3_from_axis_triples(lt, mt)
+    grid = np.linspace(0.0, 1.0, grid_resolution)
+    step = grid[1] - grid[0]
+    values = f2(grid[:, None], grid[None, :])
 
     k = int(np.argmin(values))  # row-major: ties break toward smaller (d, delta)
     i, j = divmod(k, grid_resolution)
@@ -520,9 +474,9 @@ def four_point_grid_k_optimal(params: SheetParams, tol: float = 1e-8) -> SearchR
     grid = np.geomspace(1e-3, 1e3, 241)
 
     def f2(d, dl):
-        return _cond3_from_axis_triples(
-            _equidistant_triple(beta, d, 2), _equidistant_triple(gamma, dl, 2)
-        )
+        return _cond3_from_entries(
+            FimEntries2D(_equidistant_entries(beta, d, 2), _equidistant_entries(gamma, dl, 2))
+        )[0]
 
     values = f2(grid[:, None], grid[None, :])
     k = int(np.argmin(values))
@@ -592,10 +546,3 @@ def kopt_surface_2d(betas, gammas, **search_kwargs) -> list[KoptSurfacePoint2D]:
                 )
             )
     return rows
-
-
-def scan_kopt_curve(betas, gammas=None, **search_kwargs):
-    """Dispatch to the 1D curve or the 2D surface scan."""
-    if gammas is None:
-        return kopt_curve_1d(betas, **search_kwargs)
-    return kopt_surface_2d(betas, gammas, **search_kwargs)

@@ -53,7 +53,6 @@ from oudesign import (
 )
 from oudesign._reference import fim_definitional_1d, fim_definitional_2d
 from oudesign._scalar import golden_section_min
-from oudesign.fim import _equidistant_triple
 from helpers import random_design, random_grid, random_pd_matrix
 
 SEED = 7
@@ -260,7 +259,8 @@ def test_criterion_7_two_point_k_design():
     for beta in (0.1, 1.0, 10.0):
         res = two_point_k_optimal(OuParams(beta))
         d = np.linspace(1e-4, 2.0, 200_001)
-        l1, l2, l3 = _equidistant_triple(beta, d, 2)
+        e = fim_entries_equidistant_1d(OuParams(beta), d, 2)
+        l1, l2, l3 = e.l1, e.l2, e.l3
         k_vals = 0.25 * (l1 + l3 + np.sqrt((l1 - l3) ** 2 + 4 * l2 * l2)) ** 2 / (
             l1 * l3 - l2 * l2
         )

@@ -141,10 +141,36 @@ def test_cond_limit_surface_dependence_on_second_rate():
 def test_cond_limit_surface_symmetry_and_corner():
     cells = cond_limit_surface_2d([0.01, 2.0], [0.01, 2.0], mode="both", tol=1e-2)
     by_key = {(c.beta, c.gamma): c.estimate for c in cells}
-    # exchange symmetry of the construction
-    assert by_key[(0.01, 2.0)] == pytest.approx(by_key[(2.0, 0.01)], rel=1e-9)
+    # exchange symmetry of the construction, bit for bit
+    assert by_key[(0.01, 2.0)] == by_key[(2.0, 0.01)]
     # small-rate corner continues the 1D small-rate value 2
     assert by_key[(0.01, 0.01)] == pytest.approx(2.0, abs=5e-2)
+
+
+@pytest.mark.parametrize("mode", ["both", "one"])
+def test_cond_limit_surface_matches_per_cell_ratios(mode):
+    # the batched surface reproduces Richardson extrapolation of the
+    # per-cell doubling ratios
+    n_sequence = (25, 50, 100, 200)
+    grid = (1e-3, 0.3, 2.0, 40.0)
+    cells = cond_limit_surface_2d(grid, grid[::-1], n_sequence=n_sequence, mode=mode)
+    for c in cells:
+        params = SheetParams(c.beta, c.gamma)
+        ratios = [
+            doubling_ratio_2d(params, k, k, "domain-" + mode).ratio_cond for k in n_sequence
+        ]
+        ex = [2.0 * r2 - r1 for r1, r2 in zip(ratios, ratios[1:])]
+        assert c.estimate == pytest.approx(ex[-1], rel=1e-12)
+        assert c.error_estimate == pytest.approx(abs(ex[-1] - ex[-2]), abs=1e-12 * ex[-1])
+
+
+def test_cond_limit_surface_equals_its_transpose():
+    grid = np.geomspace(0.01, 100.0, 9)
+    cells = cond_limit_surface_2d(grid, grid, mode="both", n_sequence=(25, 50, 100))
+    est = np.array([c.estimate for c in cells]).reshape(9, 9)
+    err = np.array([c.error_estimate for c in cells]).reshape(9, 9)
+    assert np.array_equal(est, est.T)
+    assert np.array_equal(err, err.T)
 
 
 def test_cond_limit_surface_interior_maximum():

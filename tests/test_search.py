@@ -3,12 +3,14 @@ import pytest
 
 from oudesign import (
     Design1D,
+    FimEntries2D,
     OuParams,
     SheetParams,
     ValidationError,
     collapse_equation,
     collapse_interval,
     condition_from_surrogate,
+    d_objective_1d,
     equidistant_d_monotone_check,
     equidistant_k_optimal_1d,
     fim_entries_equidistant_1d,
@@ -17,25 +19,29 @@ from oudesign import (
     kopt_surface_2d,
     nine_point_restricted_2d,
     r_objective_1d,
-    scan_kopt_curve,
     three_point_limit_objective,
     three_point_restricted_1d,
     two_point_k_optimal,
 )
-from oudesign.fim import _equidistant_triple
-from oudesign.search import (
-    _cond3_from_axis_triples,
-    _restricted_axis_triples,
-    _surrogate_from_triple,
-)
+from oudesign.fim import _points_entries
+from oudesign.objectives import _cond3_from_entries
 
 # positive roots of the collapse equation, 4 decimals
 BETA_LOWER = 0.5718
 BETA_UPPER = 4.9586
 
 
+def unit_design_entries(rate, d):
+    """Entries of the designs {0, d, 1}, batched over d."""
+    return _points_entries(rate, np.stack(np.broadcast_arrays(0.0, np.asarray(d, float), 1.0)))
+
+
+def grid_cond(s_entries, t_entries):
+    return _cond3_from_entries(FimEntries2D(s_entries, t_entries))[0]
+
+
 def three_point_surrogate(beta, d):
-    return _surrogate_from_triple(_restricted_axis_triples(beta, np.asarray(d, float)))
+    return r_objective_1d(unit_design_entries(beta, d))
 
 
 def test_collapse_equation_roots_and_signs():
@@ -168,18 +174,25 @@ def test_three_point_criterion_validation():
 
 
 def test_restricted_axis_triples_match_public_entries():
-    # the vectorized scan path must agree with the public entry formulas
+    # a merged point (d = 0 or 1) contributes its zero-gap limit, so the
+    # kernel reproduces the two-point design {0, 1} exactly
     from oudesign import fim_entries_1d
 
+    for beta in (1e-6, 0.05, 2.0, 20.0, 1e7):
+        two = fim_entries_1d(OuParams(beta), Design1D((0.0, 1.0)))
+        for d in (0.0, 1.0):
+            e = unit_design_entries(beta, d)
+            assert (float(e.l1), float(e.l2), float(e.l3)) == (two.l1, two.l2, two.l3)
+    # the batched scan path agrees with the public per-design entries
     rng = np.random.default_rng(33)
-    for _ in range(30):
-        beta = rng.uniform(0.05, 20.0)
-        d = rng.uniform(0.01, 0.99)
-        l1, l2, l3 = _restricted_axis_triples(beta, d)
+    betas = rng.uniform(0.05, 20.0, 30)
+    ds = rng.uniform(0.01, 0.99, 30)
+    batched = unit_design_entries(betas, ds)
+    for k, (beta, d) in enumerate(zip(betas, ds)):
         e = fim_entries_1d(OuParams(beta), Design1D((0.0, d, 1.0)))
-        assert float(l1) == pytest.approx(e.l1, rel=1e-13)
-        assert float(l2) == pytest.approx(e.l2, rel=1e-13)
-        assert float(l3) == pytest.approx(e.l3, rel=1e-13)
+        assert batched.l1[k] == pytest.approx(e.l1, rel=1e-13)
+        assert batched.l2[k] == pytest.approx(e.l2, rel=1e-13)
+        assert batched.l3[k] == pytest.approx(e.l3, rel=1e-13)
 
 
 def test_three_point_value_matches_objective_modules():
@@ -225,8 +238,7 @@ def test_two_point_root_matches_dense_scan(beta, frozen):
     res = two_point_k_optimal(OuParams(beta))
     assert res.argopt == pytest.approx(frozen, abs=1e-8)
     d = np.linspace(1e-4, 2.0, 200_001)
-    l1, l2, l3 = _equidistant_triple(beta, d, 2)
-    r = (l1 + l3) ** 2 / (l1 * l3 - l2 * l2)
+    r = r_objective_1d(fim_entries_equidistant_1d(OuParams(beta), d, 2))
     assert res.argopt == pytest.approx(d[np.argmin(r)], abs=1e-4)
 
 
@@ -253,8 +265,7 @@ def test_equidistant_k_matches_dense_scan():
     params = OuParams(1.0)
     res = equidistant_k_optimal_1d(params, 5)
     d = np.geomspace(1e-2, 1e2, 400_001)
-    l1, l2, l3 = _equidistant_triple(1.0, d, 5)
-    r = (l1 + l3) ** 2 / (l1 * l3 - l2 * l2)
+    r = r_objective_1d(fim_entries_equidistant_1d(OuParams(1.0), d, 5))
     assert res.argopt == pytest.approx(d[np.argmin(r)], rel=1e-4)
     assert np.min(r) >= (res.value + 2.0 + 1.0 / res.value) - 1e-8
 
@@ -289,8 +300,8 @@ def test_nine_point_d_migrates_at_large_rates():
 
     def axis_argmax(rate):
         grid = np.linspace(0.0, 1.0, 200_001)
-        t = _restricted_axis_triples(rate, grid)
-        vals = t[0] * (t[0] * t[2] - t[1] * t[1])
+        t = unit_design_entries(rate, grid)
+        vals = t.l1 * d_objective_1d(t)
         return grid[int(np.argmax(vals))]
 
     assert min(d, 1.0 - d) == pytest.approx(min(axis_argmax(10.0), 1 - axis_argmax(10.0)), abs=1e-4)
@@ -316,9 +327,8 @@ def test_nine_point_k_matches_dense_scan():
     res = nine_point_restricted_2d(SheetParams(10.0, 10.0), "K")
     d, dl = res.argopt
     grid = np.linspace(0.0, 1.0, 1001)
-    vals = _cond3_from_axis_triples(
-        _restricted_axis_triples(10.0, grid[:, None]),
-        _restricted_axis_triples(10.0, grid[None, :]),
+    vals = grid_cond(
+        unit_design_entries(10.0, grid[:, None]), unit_design_entries(10.0, grid[None, :])
     )
     k = int(np.argmin(vals))
     i, j = divmod(k, grid.size)
@@ -332,17 +342,46 @@ def test_nine_point_first_order_condition():
     d, dl = res.argopt
 
     def f(x, y):
-        return float(
-            _cond3_from_axis_triples(
-                _restricted_axis_triples(10.0, np.asarray(x)),
-                _restricted_axis_triples(10.0, np.asarray(y)),
-            )
-        )
+        return float(grid_cond(unit_design_entries(10.0, x), unit_design_entries(10.0, y)))
 
     h = 1e-4
     gx = (f(d + h, dl) - f(d - h, dl)) / (2 * h)
     gy = (f(d, dl + h) - f(d, dl - h)) / (2 * h)
     assert np.hypot(gx, gy) <= 1e-5 * (1.0 + abs(res.value))
+
+
+def eigvalsh_cond(s_entries, t_entries):
+    """Condition numbers of the assembled grid matrices by a generic
+    symmetric eigensolver, batched over the entry arrays."""
+    matrix = FimEntries2D(s_entries, t_entries).matrix()
+    w = np.linalg.eigvalsh(np.moveaxis(matrix, (0, 1), (-2, -1)))
+    return w[..., -1] / w[..., 0]
+
+
+# eigvalsh resolves the smallest eigenvalue to ~eps*lam_max, so at
+# condition numbers near 1e6 agreement is limited to ~1e-10 relative
+@pytest.mark.parametrize("beta", [1e-6, 1e-5])
+def test_nine_point_k_large_condition_matches_eigensolver(beta):
+    res = nine_point_restricted_2d(SheetParams(beta, 1.0), "K")
+    d, dl = res.argopt
+    at_opt = eigvalsh_cond(unit_design_entries(beta, d), unit_design_entries(1.0, dl))
+    assert res.value == pytest.approx(float(at_opt), rel=1e-9)
+    grid = np.linspace(0.0, 1.0, 401)
+    dense = eigvalsh_cond(
+        unit_design_entries(beta, grid[:, None]), unit_design_entries(1.0, grid[None, :])
+    )
+    assert np.min(dense) >= res.value * (1.0 - 1e-9)
+
+
+def test_four_point_k_large_rates_is_positive():
+    res = four_point_grid_k_optimal(SheetParams(100.0, 100.0))
+    d, dl = res.argopt
+    at_opt = eigvalsh_cond(
+        fim_entries_equidistant_1d(OuParams(100.0), d, 2),
+        fim_entries_equidistant_1d(OuParams(100.0), dl, 2),
+    )
+    assert res.value > 1.0
+    assert res.value == pytest.approx(float(at_opt), rel=1e-9)
 
 
 def test_exchange_symmetry_bitwise():
@@ -362,17 +401,21 @@ def test_four_point_interior_minimum():
     assert res.converged and not res.collapsed
     d, dl = res.argopt
     assert 0.0 < d < 10.0 and 0.0 < dl < 10.0
-    # dense 2D scan at ~5e-4 resolution cannot beat the refined optimum
+    # dense 2D scan at ~5e-4 resolution cannot beat the refined optimum;
+    # scanned in row blocks to keep memory small, first minimum wins
     grid = np.arange(0.01, 3.0, 5e-4)
-    vals = _cond3_from_axis_triples(
-        _equidistant_triple(0.2, grid[:, None], 2),
-        _equidistant_triple(0.3, grid[None, :], 2),
-    )
-    k = int(np.argmin(vals))
-    i, j = divmod(k, grid.size)
+    t_entries = fim_entries_equidistant_1d(OuParams(0.3), grid[None, :], 2)
+    best, i, j = np.inf, -1, -1
+    for start in range(0, grid.size, 128):
+        s_entries = fim_entries_equidistant_1d(OuParams(0.2), grid[start:start + 128, None], 2)
+        vals = grid_cond(s_entries, t_entries)
+        k = int(np.argmin(vals))
+        if vals.flat[k] < best:
+            best = float(vals.flat[k])
+            i, j = start + k // grid.size, k % grid.size
     assert d == pytest.approx(grid[i], abs=1e-3)
     assert dl == pytest.approx(grid[j], abs=1e-3)
-    assert np.min(vals) >= res.value - 1e-8
+    assert best >= res.value - 1e-8
 
 
 def test_four_point_symmetric_rates():
@@ -424,7 +467,7 @@ def test_kopt_surface_collapse_pattern_matches_table_region():
 
 
 def test_scan_dispatch():
-    rows = scan_kopt_curve([1.0])
+    rows = kopt_curve_1d([1.0])
     assert rows[0].collapsed
-    rows2 = scan_kopt_curve([10.0], [10.0], grid_resolution=51)
+    rows2 = kopt_surface_2d([10.0], [10.0], grid_resolution=51)
     assert rows2[0].d_opt == pytest.approx(rows2[0].delta_opt, abs=1e-6)
