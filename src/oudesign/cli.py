@@ -192,10 +192,14 @@ def optimize_group():
 
 
 def _emit_search(ctx, spec, tolerances, result, coords):
-    columns = [*coords, "value", "converged", "collapsed", "iterations"]
+    columns = [*coords, "value", "converged", "collapsed", "iterations", "boundary_margin"]
     argopt = result.argopt if isinstance(result.argopt, tuple) else (result.argopt,)
-    rows = [(*argopt, result.value, result.converged, result.collapsed, result.iterations)]
-    _emit(ctx, _meta(spec, tolerances=tolerances), columns, rows)
+    row = (*argopt, result.value, result.converged, result.collapsed, result.iterations,
+           result.boundary_margin)
+    if result.collapsed_axes is not None:
+        columns += ["collapsed_s", "collapsed_t"]
+        row += tuple(result.collapsed_axes)
+    _emit(ctx, _meta(spec, tolerances=tolerances), columns, [row])
 
 
 @optimize_group.command("three-point")

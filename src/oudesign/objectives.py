@@ -26,6 +26,7 @@ from .exceptions import NumericalError, SingularFimError, ValidationError
 from .fim import (
     FimEntries1D,
     FimEntries2D,
+    _points_entries,
     fim_entries_1d,
     fim_entries_2d,
 )
@@ -241,11 +242,18 @@ def d_objective_2d(entries: FimEntries2D) -> float:
     return (s.l1 * t.l1) * (d_objective_1d(s) * d_objective_1d(t))
 
 
+def _shifted_entries(rate: float, design: Design1D) -> FimEntries1D:
+    """Entries of the design moved to start at 0.  A shift leaves the
+    determinant unchanged, and there l1*l3 - l2^2 does not cancel."""
+    s = design.as_array()
+    return _points_entries(rate, s - s[0])
+
+
 def evaluate_design_1d(params: OuParams, design: Design1D) -> ObjectiveEval:
     """All three criteria at a 1D design."""
     entries = fim_entries_1d(params, design)
     return ObjectiveEval(
-        d_value=d_objective_1d(entries),
+        d_value=float(d_objective_1d(_shifted_entries(params.beta, design))),
         k_value=k_objective_1d(entries),
         r_value=r_objective_1d(entries),
         entries=entries,
@@ -255,8 +263,11 @@ def evaluate_design_1d(params: OuParams, design: Design1D) -> ObjectiveEval:
 def evaluate_design_2d(params: SheetParams, design: GridDesign2D) -> ObjectiveEval:
     """Determinant and condition-number criteria at a grid design."""
     entries = fim_entries_2d(params, design)
+    shifted = FimEntries2D(
+        _shifted_entries(params.beta, design.s), _shifted_entries(params.gamma, design.t)
+    )
     return ObjectiveEval(
-        d_value=d_objective_2d(entries),
+        d_value=float(d_objective_2d(shifted)),
         k_value=float(_require_positive_definite(*_cond3_from_entries(entries))),
         r_value=None,
         entries=entries,

@@ -16,11 +16,13 @@ three-point family this happens exactly when the covariance rate lies
 between the two positive roots of an explicit exponential-polynomial
 equation; :func:`collapse_interval` computes those roots.
 
-All searches use a dense coarse scan followed by local refinement
-(golden-section in 1D, zooming grid refinement in 2D).  Scans break
-argmin ties toward the smallest coordinates, and 2D objective values are
-grouped so that swapping the two axes (and the two rates) reproduces
-results bit for bit.
+The four scanning searches share one routine (:func:`_refine`): a scan on
+the open mesh of one or two axes, then zooming grids around the scan's
+argmin.  Unit axes are linear on [0, 1]; gap axes are log d from a lower
+end that follows the rate, so tolerances are relative there.  A
+coordinate has collapsed when it refines to exactly 0 or 1: the zoom
+grids contain the clipped boundary and ties break toward it.  2D values
+are grouped so that swapping the two axes (and rates) is bitwise exact.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scalar import bisect_then_secant, golden_section_min
+from ._scalar import bisect_then_secant
 from .exceptions import ValidationError
 from .fim import FimEntries2D, _equidistant_entries, _points_entries, fim_entries_equidistant_1d
 from .model import OuParams, SheetParams
@@ -38,7 +40,6 @@ from .objectives import (
     _cond3_from_entries,
     condition_from_surrogate,
     d_objective_1d,
-    d_objective_2d,
     r_objective_1d,
 )
 
@@ -58,8 +59,12 @@ __all__ = [
     "kopt_surface_2d",
 ]
 
-BOUNDARY_TOL = 1e-6
 COLLAPSE_EQUATION_MAX_RATE = 170.0  # exp(4*beta) overflows just beyond this
+REFINE_POINTS = 17
+REFINE_SHRINK = 0.25
+MAX_REFINE_LEVELS = 80
+MAX_REFINE_PASSES = 3
+EDGE_GAIN_RTOL = 1e-12  # criterion rounding is ~1e-15 relative
 
 
 @dataclass(frozen=True)
@@ -71,6 +76,8 @@ class SearchResult:
     optima (merged observation points); for grid searches
     ``collapsed_axes`` flags each coordinate separately.  ``local_minima``
     lists every refined local minimum when a scan finds several.
+    ``iterations`` counts every criterion evaluation, scan included (for
+    the two-point root, every evaluation of its spacing equation).
     """
 
     argopt: float | tuple[float, float]
@@ -167,12 +174,69 @@ def _free_point_design(d):
     return points
 
 
-def _snap_to_boundary(x, lo, hi, boundary_tol):
-    if x - lo <= boundary_tol:
-        return lo, True
-    if hi - x <= boundary_tol:
-        return hi, True
-    return x, False
+def _refine(f, axes, index, tol):
+    """Refine the scan point ``index`` within the axes' range; returns
+    (point, value, evaluations, converged).
+
+    A pass re-grids REFINE_POINTS per axis around the running argmin,
+    starting from the scan spacing, and shrinks every half-width w by
+    REFINE_SHRINK per level.  The new half-width w/4 exceeds the old
+    spacing w/8, so a minimum unimodal along each axis is never lost.
+    Every grid holds the running argmin, and a grid clipped at the range
+    holds its end exactly.  In a narrow valley across two axes the coarse
+    axis can drag the other's argmin to an inner edge of its window; a
+    pass where an edge point beat the window's center by more than
+    rounding is repeated from its result while that lowers the value.
+    """
+    lo, hi = [float(a[0]) for a in axes], [float(a[-1]) for a in axes]
+    w0 = [float(a[1] - a[0]) for a in axes]
+    x = [float(a[i]) for a, i in zip(axes, index)]
+    best, value, evaluations, converged = tuple(x), math.inf, 0, False
+    for _ in range(MAX_REFINE_PASSES):
+        w, edged = w0, False
+        for _ in range(MAX_REFINE_LEVELS):
+            grids = [np.linspace(max(a, c - h), min(b, c + h), REFINE_POINTS)
+                     for c, h, a, b in zip(x, w, lo, hi)]
+            center = tuple(int(np.argmin(np.abs(g - c))) for g, c in zip(grids, x))
+            for g, c, j in zip(grids, x, center):
+                g[j] = c
+            values = f(*np.ix_(*grids))
+            evaluations += values.size
+            k = np.unravel_index(int(np.argmin(values)), values.shape)
+            x = [float(g[j]) for g, j in zip(grids, k)]
+            gain = values[center] - values[k]
+            edged = edged or gain > EDGE_GAIN_RTOL * abs(values[k]) and any(
+                j in (0, REFINE_POINTS - 1) and c not in (a, b) for j, c, a, b in zip(k, x, lo, hi)
+            )
+            w = [REFINE_SHRINK * h for h in w]
+            if max(w) <= tol:
+                break
+        if not values[k] < value:
+            break
+        best, value, converged = tuple(x), float(values[k]), max(w) <= tol
+        if not edged:
+            break
+    return best, value, evaluations, converged
+
+
+def _scan_refine(f, axes, tol):
+    """Scan the open mesh of the axes, then refine its first row-major
+    argmin (ties break toward the smallest coordinates); returns (point,
+    value, evaluations, converged, scan values)."""
+    values = f(*np.ix_(*axes))
+    index = np.unravel_index(int(np.argmin(values)), values.shape)
+    x, fx, evaluations, ok = _refine(f, axes, index, tol)
+    return x, fx, values.size + evaluations, ok, values
+
+
+def _collapse(point, value, scan):
+    """Per-coordinate collapse (refined exactly to 0 or 1) and the
+    boundary margin over the best fully interior scan value."""
+    axes = tuple(c in (0.0, 1.0) for c in point)
+    if not any(axes):
+        return axes, 0.0
+    interior = float(np.min(scan[(slice(1, -1),) * scan.ndim]))
+    return axes, (interior - value) / abs(value)
 
 
 def three_point_restricted_1d(
@@ -180,7 +244,6 @@ def three_point_restricted_1d(
     criterion: str = "D",
     grid_resolution: int = 2001,
     refine_tol: float = 1e-10,
-    boundary_tol: float = BOUNDARY_TOL,
 ) -> SearchResult:
     """Optimal free point d of the design {0, d, 1} on [0, 1].
 
@@ -197,38 +260,21 @@ def three_point_restricted_1d(
     if grid_resolution < 3:
         raise ValidationError("grid_resolution must be at least 3")
 
-    if crit == "D":
+    def f(d):
+        e = _points_entries(beta, _free_point_design(d))
+        return -d_objective_1d(e) if crit == "D" else r_objective_1d(e)
 
-        def f(d):
-            return -d_objective_1d(_points_entries(beta, _free_point_design(d)))
-
-    else:
-
-        def f(d):
-            return r_objective_1d(_points_entries(beta, _free_point_design(d)))
-
-    grid = np.linspace(0.0, 1.0, grid_resolution)
-    values = f(grid)
-    i = int(np.argmin(values))  # ties break toward the smaller d
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid_resolution - 1)]
-    x, fx, iters, ok = golden_section_min(f, lo, hi, refine_tol)
-    if values[i] < fx:  # boundary value can beat the refined interior one
-        x, fx = float(grid[i]), float(values[i])
-    x, collapsed = _snap_to_boundary(x, 0.0, 1.0, boundary_tol)
-    if collapsed:
-        fx = float(f(x))
-        margin = (float(np.min(values[1:-1])) - fx) / abs(fx)
-    else:
-        margin = 0.0
+    axis = np.linspace(0.0, 1.0, grid_resolution)
+    (x,), fx, evaluations, ok, scan = _scan_refine(f, (axis,), refine_tol)
+    (collapsed,), margin = _collapse((x,), fx, scan)
     value = -fx if crit == "D" else condition_from_surrogate(fx)
     return SearchResult(
-        argopt=float(x),
+        argopt=x,
         value=float(value),
-        converged=bool(ok),
-        collapsed=bool(collapsed),
-        iterations=iters,
-        bracket=(float(lo), float(hi)),
+        converged=ok,
+        collapsed=collapsed,
+        iterations=evaluations,
+        bracket=(0.0, 1.0),
         boundary_margin=margin,
     )
 
@@ -263,26 +309,32 @@ def _two_point_gap_equation(beta: float):
 def two_point_k_optimal(params: OuParams, tol: float = 1e-10) -> SearchResult:
     """Unique condition-number-optimal spacing of the design {0, d}.
 
-    The optimum is the unique positive root of the spacing equation; a
-    bracketing failure would signal a transcription bug, not a missing
-    optimum (existence and uniqueness hold for every rate).
+    The optimum is the unique positive root of the spacing equation,
+    bracketed between min(1, rate)/1000 and sqrt(2) and solved in log d,
+    so ``tol`` is relative; a bracketing failure would signal a
+    transcription bug, not a missing optimum (existence and uniqueness
+    hold for every rate).  The root lies near 2*rate at small rates.
     """
     if tol <= 0.0:
         raise ValidationError("tol must be positive")
     h = _two_point_gap_equation(params.beta)
-    lo, hi = 1e-9, math.sqrt(2.0)
+    lo, hi = 1e-3 * min(1.0, params.beta), math.sqrt(2.0)
     try:
-        root, iters, ok = bisect_then_secant(h, lo, hi, 1e-3, tol)
+        u, iters, ok = bisect_then_secant(
+            lambda u: h(math.exp(u)), math.log(lo), math.log(hi), 1e-3, tol
+        )
     except ValueError as exc:
         raise ValidationError(f"two-point root bracket failed: {exc}") from exc
+    root = math.exp(u)
     value = condition_from_surrogate(r_objective_1d(fim_entries_equidistant_1d(params, root, 2)))
     return SearchResult(
-        argopt=float(root),
+        argopt=root,
         value=float(value),
         converged=bool(ok),
         collapsed=False,
-        iterations=iters,
+        iterations=iters + 2,  # the bracket's two ends
         bracket=(lo, hi),
+        boundary_margin=0.0,
     )
 
 
@@ -291,52 +343,46 @@ def equidistant_k_optimal_1d(params: OuParams, n: int, tol: float = 1e-10) -> Se
     n-point design, over d > 0.
 
     The surrogate diverges for both vanishing and growing steps, so a
-    global minimum exists.  A log-spaced coarse scan locates every local
-    minimum; each is refined by golden-section and all of them are
-    reported (uniqueness is not assumed), the best one winning.
+    global minimum exists.  A scan in log d locates every local minimum;
+    each is refined (to ``tol`` relative) and all of them are reported
+    (uniqueness is not assumed), the best one winning.
     """
     if int(n) != n or n < 2:
         raise ValidationError(f"n must be an integer >= 2, got {n!r}")
     n = int(n)
     beta = params.beta
 
-    # At small rates the optimal step shrinks like rate/(n-1); open the
-    # scan window accordingly (but keep scaled gaps clear of underflow).
-    lo = max(min(1e-4, 1e-2 * beta / (n - 1)), 1e-11 / beta)
+    # At small rates the optimal step shrinks like rate/(n-1); the scan
+    # window follows it.
+    lo, hi = min(1e-4, 1e-2 * beta / (n - 1)), 1e4
+    axis = np.linspace(math.log(lo), math.log(hi), 2001)
 
-    def f(d):
-        return r_objective_1d(_equidistant_entries(beta, d, n))
+    def f(u):
+        return r_objective_1d(_equidistant_entries(beta, np.exp(u), n))
 
-    grid = np.geomspace(lo, 1e4, 2001)
-    r = f(grid)
-
+    r = f(axis)
     interior = np.flatnonzero((r[1:-1] < r[:-2]) & (r[1:-1] <= r[2:])) + 1
-    iters = 0
+    evaluations = r.size
     minima = []
     for i in interior:
-        x, fx, it, ok = golden_section_min(f, grid[i - 1], grid[i + 1], tol)
-        iters += it
-        minima.append((float(x), float(condition_from_surrogate(fx)), bool(ok)))
+        (u,), fx, evals, ok = _refine(f, (axis,), (i,), tol)
+        evaluations += evals
+        minima.append((math.exp(u), float(condition_from_surrogate(fx)), ok))
     if not minima:
         # No interior minimum in the scan window; fall back to the best
         # grid point so the failure is visible rather than silent.
         i = int(np.argmin(r))
-        minima.append((float(grid[i]), float(condition_from_surrogate(r[i])), False))
-    # dedupe refinements that converged to the same point
-    minima.sort()
-    unique = [minima[0]]
-    for cand in minima[1:]:
-        if abs(cand[0] - unique[-1][0]) > 50.0 * max(tol, 1e-12) * max(1.0, cand[0]):
-            unique.append(cand)
-    best = min(unique, key=lambda c: c[1])
+        minima.append((math.exp(axis[i]), float(condition_from_surrogate(r[i])), False))
+    best = min(minima, key=lambda c: c[1])
     return SearchResult(
         argopt=best[0],
         value=best[1],
         converged=best[2],
         collapsed=False,
-        iterations=iters,
-        bracket=(float(grid[0]), float(grid[-1])),
-        local_minima=tuple((x, v) for x, v, _ in unique),
+        iterations=evaluations,
+        bracket=(lo, hi),
+        local_minima=tuple((x, v) for x, v, _ in minima),
+        boundary_margin=0.0,
     )
 
 
@@ -350,112 +396,56 @@ def equidistant_d_monotone_check(params: OuParams, n: int, d_grid) -> bool:
     return bool(np.all(np.diff(det) > 0.0))
 
 
-def _zoom_refine_2d(
-    f2,
-    x: float,
-    y: float,
-    wx: float,
-    wy: float,
-    lo_x: float,
-    hi_x: float,
-    lo_y: float,
-    hi_y: float,
-    tol: float,
-    points: int = 17,
-    shrink: float = 0.25,
-    max_levels: int = 80,
-):
-    """Refine a 2D minimum by repeatedly re-gridding a shrinking window.
-
-    ``f2`` must accept broadcastable coordinate arrays.  Windows only
-    shrink while the running argmin stays interior (or pinned to the
-    domain boundary), so a minimum just outside the initial window is
-    walked to rather than lost.
-    """
-    evals = 0
-    level = 0
-    while (wx > tol or wy > tol) and level < max_levels:
-        gx = np.linspace(max(lo_x, x - wx), min(hi_x, x + wx), points)
-        gy = np.linspace(max(lo_y, y - wy), min(hi_y, y + wy), points)
-        vals = f2(gx[:, None], gy[None, :])
-        k = int(np.argmin(vals))
-        i, j = divmod(k, points)
-        x, y = float(gx[i]), float(gy[j])
-        evals += points * points
-        at_domain_edge_x = x - lo_x <= tol or hi_x - x <= tol
-        at_domain_edge_y = y - lo_y <= tol or hi_y - y <= tol
-        if 0 < i < points - 1 or at_domain_edge_x:
-            wx *= shrink
-        if 0 < j < points - 1 or at_domain_edge_y:
-            wy *= shrink
-        level += 1
-    return x, y, evals, level < max_levels
-
-
 def nine_point_restricted_2d(
     params: SheetParams,
     criterion: str = "D",
     grid_resolution: int = 201,
     refine_tol: float = 1e-8,
-    boundary_tol: float = BOUNDARY_TOL,
 ) -> SearchResult:
     """Optimal free coordinates (d, delta) of the grid
     {0, d, 1} x {0, delta, 1} on the unit square.
 
-    Criterion "D" maximizes the determinant, which factorizes per axis:
-    each coordinate's optimum sits at 1/2 for axis rates up to ~9.1780
-    and migrates off-center above that.  Criterion "K" minimizes the
-    condition number, flagging collapse per coordinate when a minimizing
-    coordinate reaches {0, 1}.
+    Criterion "D" maximizes the determinant, which factorizes as
+    (l1*det_s) * (m1*det_t): each coordinate is optimized on its own axis
+    and sits at 1/2 for axis rates up to ~9.1780, migrating off-center
+    above that.  Criterion "K" minimizes the condition number, flagging
+    collapse per coordinate when a minimizing coordinate reaches {0, 1}.
     """
     crit = _check_criterion(criterion)
     if grid_resolution < 3:
         raise ValidationError("grid_resolution must be at least 3")
     beta, gamma = params.beta, params.gamma
-
-    def entries(d, dl):
-        return FimEntries2D(
-            _points_entries(beta, _free_point_design(d)),
-            _points_entries(gamma, _free_point_design(dl)),
-        )
+    grid = np.linspace(0.0, 1.0, grid_resolution)
 
     if crit == "D":
 
-        def f2(d, dl):
-            return -d_objective_2d(entries(d, dl))
+        def axis_factor(rate):  # minus l1*det of one axis
+            def f(d):
+                e = _points_entries(rate, _free_point_design(d))
+                return -(e.l1 * d_objective_1d(e))
 
+            return _scan_refine(f, (grid,), refine_tol)
+
+        ((x,), fx, ex, okx, scan_x), ((y,), fy, ey, oky, scan_y) = map(axis_factor, (beta, gamma))
+        point, fxy, evaluations, ok = (x, y), -(fx * fy), ex + ey, okx and oky
+        scan = -np.multiply.outer(scan_x, scan_y)
     else:
 
         def f2(d, dl):
-            return _cond3_from_entries(entries(d, dl))[0]
+            s = _points_entries(beta, _free_point_design(d))
+            t = _points_entries(gamma, _free_point_design(dl))
+            return _cond3_from_entries(FimEntries2D(s, t))[0]
 
-    grid = np.linspace(0.0, 1.0, grid_resolution)
-    step = grid[1] - grid[0]
-    values = f2(grid[:, None], grid[None, :])
-
-    k = int(np.argmin(values))  # row-major: ties break toward smaller (d, delta)
-    i, j = divmod(k, grid_resolution)
-    x, y = float(grid[i]), float(grid[j])
-    x, y, evals, ok = _zoom_refine_2d(
-        f2, x, y, step, step, 0.0, 1.0, 0.0, 1.0, refine_tol
-    )
-    x, cx = _snap_to_boundary(x, 0.0, 1.0, boundary_tol)
-    y, cy = _snap_to_boundary(y, 0.0, 1.0, boundary_tol)
-    fx = float(f2(np.asarray(x), np.asarray(y)))
-    value = -fx if crit == "D" else fx
-    if cx or cy:
-        interior_best = float(np.min(values[1:-1, 1:-1]))
-        margin = (interior_best - fx) / abs(fx)
-    else:
-        margin = 0.0
+        point, fxy, evaluations, ok, scan = _scan_refine(f2, (grid, grid), refine_tol)
+    collapsed_axes, margin = _collapse(point, fxy, scan)
     return SearchResult(
-        argopt=(x, y),
-        value=float(value),
-        converged=bool(ok),
-        collapsed=bool(cx or cy),
-        iterations=evals,
+        argopt=point,
+        value=float(-fxy if crit == "D" else fxy),
+        converged=ok,
+        collapsed=any(collapsed_axes),
+        iterations=evaluations,
         bracket=((0.0, 1.0), (0.0, 1.0)),
-        collapsed_axes=(cx, cy),
+        collapsed_axes=collapsed_axes,
         boundary_margin=margin,
     )
 
@@ -464,38 +454,31 @@ def four_point_grid_k_optimal(params: SheetParams, tol: float = 1e-8) -> SearchR
     """Condition-number-optimal spacings (d, delta) of the 2x2 grid
     {0, d} x {0, delta} over the open quarter plane.
 
-    A log-spaced coarse scan over (1e-3, 1e3)^2 locates the minimum,
-    which zooming grid refinement then polishes.
+    Each axis is scanned in log d from min(1e-3, rate/10) up to 1e3 and
+    refined to ``tol`` relative; an optimum pinned at a scan window's
+    end reports ``converged=False``.
     """
     if tol <= 0.0:
         raise ValidationError("tol must be positive")
     beta, gamma = params.beta, params.gamma
+    windows = tuple((min(1e-3, 0.1 * rate), 1e3) for rate in (beta, gamma))
+    axes = tuple(np.linspace(math.log(lo), math.log(hi), 241) for lo, hi in windows)
 
-    grid = np.geomspace(1e-3, 1e3, 241)
+    def f2(u, v):
+        s, t = _equidistant_entries(beta, np.exp(u), 2), _equidistant_entries(gamma, np.exp(v), 2)
+        return _cond3_from_entries(FimEntries2D(s, t))[0]
 
-    def f2(d, dl):
-        return _cond3_from_entries(
-            FimEntries2D(_equidistant_entries(beta, d, 2), _equidistant_entries(gamma, dl, 2))
-        )[0]
-
-    values = f2(grid[:, None], grid[None, :])
-    k = int(np.argmin(values))
-    i, j = divmod(k, grid.size)
-    x, y = float(grid[i]), float(grid[j])
-    ratio = grid[1] / grid[0]
-    wx = x * (ratio - 1.0)
-    wy = y * (ratio - 1.0)
-    x, y, evals, ok = _zoom_refine_2d(
-        f2, x, y, wx, wy, 1e-9, math.inf, 1e-9, math.inf, tol
-    )
+    (u, v), value, evaluations, ok, _ = _scan_refine(f2, axes, tol)
+    pinned = any(c in (a[0], a[-1]) for c, a in zip((u, v), axes))
     return SearchResult(
-        argopt=(x, y),
-        value=float(f2(np.asarray(x), np.asarray(y))),
-        converged=bool(ok),
+        argopt=(math.exp(u), math.exp(v)),
+        value=value,
+        converged=ok and not pinned,
         collapsed=False,
-        iterations=evals,
-        bracket=((float(grid[0]), float(grid[-1])), (float(grid[0]), float(grid[-1]))),
+        iterations=evaluations,
+        bracket=windows,
         collapsed_axes=(False, False),
+        boundary_margin=0.0,
     )
 
 

@@ -106,6 +106,27 @@ def test_optimize_nine_point(runner):
     assert float(row["delta_opt"]) == pytest.approx(0.5, abs=1e-5)
 
 
+def test_optimize_rows_report_boundary_margin_and_collapsed_axes(runner):
+    from oudesign import SheetParams, nine_point_restricted_2d
+
+    args = ["optimize", "nine-point", "--beta", "2", "--gamma", "2", "--criterion", "K"]
+    doc = json.loads(run_ok(runner, ["--format", "json", *args]))
+    row = dict(zip(doc["columns"], doc["rows"][0]))
+    res = nine_point_restricted_2d(SheetParams(2.0, 2.0), "K")
+    assert (row["collapsed_s"], row["collapsed_t"]) == res.collapsed_axes == (True, True)
+    assert row["boundary_margin"] == pytest.approx(res.boundary_margin, rel=1e-11)
+    assert row["boundary_margin"] > 0.0
+    assert row["iterations"] == res.iterations
+    args = ["optimize", "four-point", "--beta", "1", "--gamma", "2"]
+    header, rows = parse_csv(run_ok(runner, args))
+    row = dict(zip(header, rows[0]))
+    assert (row["collapsed_s"], row["collapsed_t"]) == ("false", "false")
+    assert row["boundary_margin"] == "0"
+    args = ["optimize", "three-point", "--beta", "0.3", "--criterion", "K"]
+    header, rows = parse_csv(run_ok(runner, args))
+    assert "boundary_margin" in header and "collapsed_s" not in header
+
+
 def test_asymptotics_limits(runner):
     out = run_ok(runner, ["asymptotics", "limits", "--beta", "1"])
     header, rows = parse_csv(out)

@@ -234,3 +234,19 @@ def test_evaluate_design_consistency():
     assert ev2.r_value is None
     assert ev2.k_value >= 1.0
     assert ev2.d_value > 0
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e5, 1e7])
+def test_d_value_is_shift_invariant(offset):
+    # the determinant does not change under a shift of the design, so it
+    # must equal the determinant of the same float points moved to 0
+    design = Design1D((offset, offset + 0.3, offset + 1.0))
+    pts = design.points
+    shifted = Design1D(tuple(p - pts[0] for p in pts))
+    expected = d_objective_1d(fim_entries_1d(OuParams(1.0), shifted))
+    assert evaluate_design_1d(OuParams(1.0), design).d_value == pytest.approx(expected, rel=1e-12)
+    grid = GridDesign2D(design, Design1D((offset, offset + 0.5, offset + 2.0)))
+    shifted_grid = GridDesign2D(shifted, Design1D((0.0, 0.5, 2.0)))
+    expected_2d = d_objective_2d(fim_entries_2d(SheetParams(1.0, 2.0), shifted_grid))
+    got_2d = evaluate_design_2d(SheetParams(1.0, 2.0), grid).d_value
+    assert got_2d == pytest.approx(expected_2d, rel=1e-12)

@@ -23,7 +23,7 @@ from oudesign import (
     three_point_restricted_1d,
     two_point_k_optimal,
 )
-from oudesign.fim import _points_entries
+from oudesign.fim import _equidistant_entries, _points_entries
 from oudesign.objectives import _cond3_from_entries
 
 # positive roots of the collapse equation, 4 decimals
@@ -132,6 +132,18 @@ def test_three_point_k_large_rate_small_interior_optimum():
     assert d10 > d30 > res.argopt > 0.0
 
 
+def test_three_point_k_optimum_below_first_scan_step():
+    # at rate 1e7 the interior optimum d ~ 7.7e-7 lies far below the first
+    # step of the linear scan; the boundary d = 0 is worse, not collapsed
+    res = three_point_restricted_1d(OuParams(1e7), "K")
+    assert res.converged and not res.collapsed
+    d = np.geomspace(1e-10, 0.5, 200_001)
+    k = condition_from_surrogate(three_point_surrogate(1e7, d))
+    assert res.argopt == pytest.approx(d[np.argmin(k)], rel=1e-3)
+    assert res.value == pytest.approx(k.min(), rel=1e-9)
+    assert res.value < condition_from_surrogate(three_point_surrogate(1e7, 0.0))
+
+
 def test_three_point_limit_objective_shape():
     # the large-rate limit of the surrogate has its infimum at d=0, value 8
     d = np.linspace(0.0, 1.0, 100_001)
@@ -230,6 +242,33 @@ def test_two_point_root_properties(beta):
     assert raw_two_point_equation(beta, root + h) > 0
 
 
+def scaled_two_point_equation(beta, d):
+    """raw_two_point_equation over exp(3*beta*d), which cannot overflow,
+    and the size of its largest term."""
+    x = beta * d
+    terms = (
+        d * d,
+        -2.0,
+        2 * (x + 1) * np.exp(-x),
+        -(beta * d**3 + d * d + 2 * x - 2) * np.exp(-2 * x),
+        -2 * np.exp(-3 * x),
+    )
+    return sum(terms), max(abs(t) for t in terms)
+
+
+@pytest.mark.parametrize("beta", [10.0**k for k in range(-6, 8)])
+def test_two_point_root_across_rates(beta):
+    # the root sits near 2*rate at small rates and tends to sqrt(2)
+    res = two_point_k_optimal(OuParams(beta))
+    assert res.converged
+    residual, scale = scaled_two_point_equation(beta, res.argopt)
+    assert abs(residual) <= 1e-9 * scale
+    d = np.geomspace(max(1e-12 / beta, 1e-4 * min(1.0, beta)), 10.0, 200_001)
+    k = condition_from_surrogate(r_objective_1d(fim_entries_equidistant_1d(OuParams(beta), d, 2)))
+    assert res.argopt == pytest.approx(d[np.argmin(k)], rel=1e-3)
+    assert k.min() >= res.value * (1.0 - 1e-12)
+
+
 @pytest.mark.parametrize(
     "beta,frozen",
     [(0.1, 0.1943297519), (1.0, 0.9008826195), (10.0, 1.4142058382)],
@@ -243,8 +282,8 @@ def test_two_point_root_matches_dense_scan(beta, frozen):
 
 
 def test_equidistant_k_n2_agrees_with_two_point():
-    # golden-section localization is sqrt(eps)-limited near the flat
-    # minimum, so agreement is 1e-6, not the interval tolerance
+    # localization is sqrt(eps)-limited near the flat minimum, so
+    # agreement is 1e-6, not the refinement tolerance
     for beta in (0.2, 1.0, 5.0):
         a = equidistant_k_optimal_1d(OuParams(beta), 2)
         b = two_point_k_optimal(OuParams(beta))
@@ -275,6 +314,20 @@ def test_equidistant_k_small_rate_large_n():
     res = equidistant_k_optimal_1d(OuParams(0.01), 1000)
     assert res.converged
     assert res.argopt == pytest.approx(2.0014e-5, rel=1e-3)  # frozen vs dense scan
+
+
+@pytest.mark.parametrize("n", [3, 1000])
+def test_equidistant_k_small_rate_below_old_floor(n):
+    # at rate 1e-6 the optimal step lies below 1e-11/rate, where the scan
+    # window used to end
+    beta = 1e-6
+    res = equidistant_k_optimal_1d(OuParams(beta), n)
+    assert res.converged
+    assert res.argopt < 1e-11 / beta
+    d = np.geomspace(1e-3 * beta / (n - 1), 1e2, 200_001)
+    r = r_objective_1d(_equidistant_entries(beta, d, n))
+    assert res.argopt == pytest.approx(d[np.argmin(r)], rel=1e-3)
+    assert condition_from_surrogate(np.min(r)) >= res.value * (1.0 - 1e-12)
 
 
 def test_equidistant_d_monotone():
@@ -360,9 +413,11 @@ def eigvalsh_cond(s_entries, t_entries):
 
 # eigvalsh resolves the smallest eigenvalue to ~eps*lam_max, so at
 # condition numbers near 1e6 agreement is limited to ~1e-10 relative
-@pytest.mark.parametrize("beta", [1e-6, 1e-5])
+@pytest.mark.parametrize("beta", [1e-6, 1e-5, 1e7])
 def test_nine_point_k_large_condition_matches_eigensolver(beta):
+    # at rate 1e7 the optimal d ~ 3e-7 lies far below the first scan step
     res = nine_point_restricted_2d(SheetParams(beta, 1.0), "K")
+    assert res.converged
     d, dl = res.argopt
     at_opt = eigvalsh_cond(unit_design_entries(beta, d), unit_design_entries(1.0, dl))
     assert res.value == pytest.approx(float(at_opt), rel=1e-9)
@@ -371,6 +426,42 @@ def test_nine_point_k_large_condition_matches_eigensolver(beta):
         unit_design_entries(beta, grid[:, None]), unit_design_entries(1.0, grid[None, :])
     )
     assert np.min(dense) >= res.value * (1.0 - 1e-9)
+
+
+# At large s-rates the K optimum's d ~ 3/rate lies inside the first scan
+# cell and its delta moves with d: a narrow valley across both axes.
+@pytest.mark.parametrize("beta", [1e3, 1e4, 1e5])
+def test_nine_point_k_narrow_valley_is_optimal_along_each_axis(beta):
+    res = nine_point_restricted_2d(SheetParams(beta, 1.0), "K")
+    assert res.converged and not res.collapsed
+    d, dl = res.argopt
+    ds = d * np.exp(np.linspace(-0.05, 0.05, 20_001))
+    dls = np.linspace(dl - 0.01, dl + 0.01, 20_001)
+    along_d = grid_cond(unit_design_entries(beta, ds), unit_design_entries(1.0, dl))
+    along_dl = grid_cond(unit_design_entries(beta, d), unit_design_entries(1.0, dls))
+    assert min(np.min(along_d), np.min(along_dl)) >= res.value * (1.0 - 1e-11)
+
+
+@pytest.mark.parametrize("beta", [1e-6, 1e-4])
+def test_four_point_small_rate_converges(beta):
+    # the optimal d ~ rate lies below the scan's old fixed floor of 1e-3
+    res = four_point_grid_k_optimal(SheetParams(beta, 1.0))
+    assert res.converged
+    gs = np.geomspace(1e-3 * beta, 1e2, 1201)
+    gt = np.geomspace(1e-3, 1e2, 1201)
+    dense = grid_cond(
+        _equidistant_entries(beta, gs[:, None], 2), _equidistant_entries(1.0, gt[None, :], 2)
+    )
+    assert np.min(dense) >= res.value * (1.0 - 1e-12)
+
+
+def test_iterations_count_scan_and_refinement():
+    assert three_point_restricted_1d(OuParams(0.3), "K").iterations > 2001
+    assert nine_point_restricted_2d(SheetParams(10.0, 20.0), "K").iterations > 201**2
+    assert nine_point_restricted_2d(SheetParams(1.0, 2.0), "D").iterations > 2 * 201
+    assert four_point_grid_k_optimal(SheetParams(0.2, 0.3)).iterations > 241**2
+    assert equidistant_k_optimal_1d(OuParams(1.0), 5).iterations > 2001
+    assert two_point_k_optimal(OuParams(1.0)).iterations > 2
 
 
 def test_four_point_k_large_rates_is_positive():
