@@ -24,7 +24,6 @@ from .asymptotics import (
 from .exceptions import (
     CollapsedDesignError,
     NearSingularDesignError,
-    NotPositiveDefiniteError,
     NumericalError,
     SingularFimError,
     ValidationError,
@@ -57,7 +56,6 @@ from .model import (
     SheetParams,
     TrendParams,
     correlation_matrix_1d,
-    correlation_matrix_2d,
     inv_correlation_matrix_1d,
     inv_correlation_matrix_2d,
     sample_observations,
@@ -105,7 +103,6 @@ __all__ = [
     "TrendParams",
     "correlation_matrix_1d",
     "inv_correlation_matrix_1d",
-    "correlation_matrix_2d",
     "inv_correlation_matrix_2d",
     "sample_observations",
     # fim
@@ -171,5 +168,4 @@ __all__ = [
     "NumericalError",
     "NearSingularDesignError",
     "SingularFimError",
-    "NotPositiveDefiniteError",
 ]

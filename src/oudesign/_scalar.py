@@ -1,37 +1,12 @@
-"""Scalar minimization and root finding helpers.
+"""Scalar root finding: bisection followed by safeguarded secant steps.
 
-Plain, derivative-free routines: golden-section search on a bracketed
-unimodal interval, and bisection followed by safeguarded secant steps for
-roots.  The objectives in this package are cheap and smooth, so these
-favor robustness over iteration counts.
+The equations in this package are cheap and smooth, so the routine
+favors robustness over iteration counts.
 """
 
 from __future__ import annotations
 
 import math
-
-INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # ~0.618034
-
-
-def golden_section_min(f, lo, hi, tol=1e-10, max_iter=200):
-    """Minimize f on [lo, hi]; returns (x, f(x), iterations, converged)."""
-    a, b = float(lo), float(hi)
-    x1 = b - INV_GOLDEN * (b - a)
-    x2 = a + INV_GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    it = 0
-    while (b - a) > tol and it < max_iter:
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - INV_GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + INV_GOLDEN * (b - a)
-            f2 = f(x2)
-        it += 1
-    x = 0.5 * (a + b)
-    return x, f(x), it, (b - a) <= tol
 
 
 def bisect_then_secant(f, lo, hi, coarse_tol=1e-3, tol=1e-10, max_iter=200):

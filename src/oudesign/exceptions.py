@@ -30,14 +30,3 @@ class SingularFimError(NumericalError):
     """Information matrix is singular (or nearly so) for the requested
     objective."""
 
-
-class NotPositiveDefiniteError(NumericalError):
-    """A Cholesky factorization failed.
-
-    ``minor_index`` carries the 1-based order of the offending leading
-    minor when known.
-    """
-
-    def __init__(self, message: str, minor_index: int | None = None):
-        super().__init__(message)
-        self.minor_index = minor_index

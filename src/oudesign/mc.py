@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,6 +33,8 @@ from .model import (
     SheetParams,
     TrendParams,
     _apply_precision,
+    _axes,
+    _basis,
     _precision_bands,
     sample_observations,
 )
@@ -125,23 +127,11 @@ def gls_estimate(observations, design, params):
     single = y.ndim == 1
     if single:
         y = y[None, :]
-    if isinstance(design, Design1D):
-        if not isinstance(params, OuParams):
-            raise ValidationError("1D designs require OuParams")
-        s = design.as_array()
-        basis = np.vstack([np.ones_like(s), s])
-        weighted = _apply_precision(_precision_bands(params.beta, design), basis, 1)
-    elif isinstance(design, GridDesign2D):
-        if not isinstance(params, SheetParams):
-            raise ValidationError("grid designs require SheetParams")
-        s, t = design.flat_coordinates()
-        basis = np.vstack([np.ones_like(s), s, t])
-        grid = basis.reshape(3, design.n, design.m)
-        grid = _apply_precision(_precision_bands(params.beta, design.s), grid, 1)
-        grid = _apply_precision(_precision_bands(params.gamma, design.t), grid, 2)
-        weighted = grid.reshape(3, design.size)
-    else:
-        raise ValidationError(f"unsupported design type {type(design).__name__}")
+    axes = _axes(params, design)
+    weighted = basis = _basis(design)
+    for axis, (rate, axis_design) in enumerate(axes, start=1):
+        weighted = _apply_precision(_precision_bands(rate, axis_design), weighted, axis)
+    basis, weighted = basis.reshape(len(basis), -1), weighted.reshape(len(basis), -1)
     if y.shape[1] != basis.shape[1]:
         raise ValidationError(
             f"observations have {y.shape[1]} columns, design has {basis.shape[1]} points"
@@ -158,10 +148,7 @@ def gls_estimate(observations, design, params):
 def _design_stream(seed: int, design) -> np.random.SeedSequence:
     """Seed sequence keyed by the design's content, so equal designs get
     equal draws and distinct designs get independent streams."""
-    if isinstance(design, Design1D):
-        key = ("1d", design.points)
-    else:
-        key = ("2d", design.s.points, design.t.points)
+    key = (f"{len(design.axes)}d",) + tuple(axis.points for axis in design.axes)
     digest = hashlib.blake2b(repr(key).encode(), digest_size=8).digest()
     return np.random.SeedSequence(entropy=(int(seed), int.from_bytes(digest, "big")))
 
@@ -176,7 +163,15 @@ def _simulated_mse(params, design, trend, replicates, seed):
     return mse, se
 
 
-def _eff_report(mse_k, se_k, mse_d, se_d) -> EffReport:
+def _efficiency(params, k_design, d_design, config: McConfig) -> EffReport:
+    """Simulate both designs at the configured noise scale, with the
+    configured trend or all-ones coefficients, and compare their MSEs."""
+    sim_params = replace(params, sigma=config.sigma)
+    trend = config.trend
+    if trend is None:
+        trend = TrendParams(*[1.0] * (1 + len(_axes(sim_params, k_design))))
+    mse_k, se_k = _simulated_mse(sim_params, k_design, trend, config.replicates, config.seed)
+    mse_d, se_d = _simulated_mse(sim_params, d_design, trend, config.replicates, config.seed)
     eff = 100.0 * mse_k / mse_d
     se = eff * math.sqrt((se_k / mse_k) ** 2 + (se_d / mse_d) ** 2)
     return EffReport(mse_k=mse_k, mse_d=mse_d, eff_percent=eff, mc_standard_error=se)
@@ -205,13 +200,7 @@ def run_efficiency_1d(params: OuParams, config: McConfig) -> EffReport:
             )
         k_design = Design1D((0.0, k_res.argopt, 1.0))
         d_design = Design1D((0.0, 0.5, 1.0))
-    trend = config.trend if config.trend is not None else TrendParams(1.0, 1.0)
-    if trend.alpha2 is not None:
-        raise ValidationError("1D efficiency needs a 1D trend (alpha2 must be None)")
-    sim_params = OuParams(params.beta, config.sigma)
-    mse_k, se_k = _simulated_mse(sim_params, k_design, trend, config.replicates, config.seed)
-    mse_d, se_d = _simulated_mse(sim_params, d_design, trend, config.replicates, config.seed)
-    return _eff_report(mse_k, se_k, mse_d, se_d)
+    return _efficiency(params, k_design, d_design, config)
 
 
 def run_efficiency_2d(params: SheetParams, config: McConfig) -> EffReport:
@@ -238,13 +227,7 @@ def run_efficiency_2d(params: SheetParams, config: McConfig) -> EffReport:
         t_pts = (0.0, 1.0) if cy else (0.0, delta_opt, 1.0)
         k_design = GridDesign2D(Design1D(s_pts), Design1D(t_pts))
         d_design = GridDesign2D(Design1D((0.0, 0.5, 1.0)), Design1D((0.0, 0.5, 1.0)))
-    trend = config.trend if config.trend is not None else TrendParams(1.0, 1.0, 1.0)
-    if trend.alpha2 is None:
-        raise ValidationError("2D efficiency needs a 2D trend (alpha2 set)")
-    sim_params = SheetParams(params.beta, params.gamma, config.sigma)
-    mse_k, se_k = _simulated_mse(sim_params, k_design, trend, config.replicates, config.seed)
-    mse_d, se_d = _simulated_mse(sim_params, d_design, trend, config.replicates, config.seed)
-    return _eff_report(mse_k, se_k, mse_d, se_d)
+    return _efficiency(params, k_design, d_design, config)
 
 
 def efficiency_curve(betas, config: McConfig) -> list[EffCurvePoint]:

@@ -21,11 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    NearSingularDesignError,
-    NotPositiveDefiniteError,
-    ValidationError,
-)
+from .exceptions import NearSingularDesignError, ValidationError
 
 __all__ = [
     "MIN_SCALED_GAP",
@@ -37,7 +33,6 @@ __all__ = [
     "TrendParams",
     "correlation_matrix_1d",
     "inv_correlation_matrix_1d",
-    "correlation_matrix_2d",
     "inv_correlation_matrix_2d",
     "sample_observations",
 ]
@@ -46,7 +41,7 @@ __all__ = [
 # near-coincident points are an error, not a silent regularization.
 MIN_SCALED_GAP = 1e-12
 
-# Guard against accidentally materializing huge dense grid covariances.
+# Cap on the grid size of the dense inverse grid correlation.
 MAX_GRID_POINTS = 10_000
 
 
@@ -144,6 +139,10 @@ class Design1D:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.points, dtype=float)
 
+    @property
+    def axes(self) -> tuple[Design1D, ...]:
+        return (self,)
+
 
 @dataclass(frozen=True)
 class GridDesign2D:
@@ -177,6 +176,10 @@ class GridDesign2D:
     @property
     def size(self) -> int:
         return self.s.n * self.t.n
+
+    @property
+    def axes(self) -> tuple[Design1D, ...]:
+        return (self.s, self.t)
 
     def flat_coordinates(self) -> tuple[np.ndarray, np.ndarray]:
         """(s, t) coordinates of all grid points in s-major order."""
@@ -212,31 +215,60 @@ class TrendParams:
             return np.array([self.alpha0, self.alpha1])
         return np.array([self.alpha0, self.alpha1, self.alpha2])
 
-    def mean_1d(self, design: Design1D) -> np.ndarray:
-        return self.alpha0 + self.alpha1 * design.as_array()
+    def mean(self, design: Design1D | GridDesign2D) -> np.ndarray:
+        """Trend at the design points (s-major on a grid); the trend
+        needs one coefficient more than the design has axes."""
+        basis = _basis(design)
+        coef = self.coefficients()
+        if coef.size != len(basis):
+            raise ValidationError(
+                f"a trend on {len(basis) - 1} axes needs {len(basis)} coefficients, "
+                f"got {coef.size}"
+            )
+        return sum((c * x for c, x in zip(coef[1:], basis[1:])), coef[0]).reshape(-1)
 
-    def mean_2d(self, design: GridDesign2D) -> np.ndarray:
-        if self.alpha2 is None:
-            raise ValidationError("2D trend requires alpha2")
-        s, t = design.flat_coordinates()
-        return self.alpha0 + self.alpha1 * s + self.alpha2 * t
+
+def _basis(design: Design1D | GridDesign2D) -> np.ndarray:
+    """Trend basis rows (1, s[, t]) on the design's (n[, m]) shape."""
+    axes = design.axes
+    basis = np.ones((1 + len(axes),) + tuple(axis.n for axis in axes))
+    for k, axis in enumerate(axes, start=1):
+        basis[k] = axis.as_array().reshape((-1,) + (1,) * (len(axes) - k))
+    return basis
 
 
-def _scaled_gaps(
-    beta: float, design: Design1D, min_scaled_gap: float = MIN_SCALED_GAP
-) -> np.ndarray:
+def _axes(params, design) -> tuple[tuple[float, Design1D], ...]:
+    """The (rate, Design1D) pair of each axis: one for a process, two for
+    a grid, whose sheet correlation is the product of the axis ones."""
+    if isinstance(design, Design1D):
+        if not isinstance(params, OuParams):
+            raise ValidationError("1D designs require OuParams")
+        return ((params.beta, design),)
+    if isinstance(design, GridDesign2D):
+        if not isinstance(params, SheetParams):
+            raise ValidationError("grid designs require SheetParams")
+        return ((params.beta, design.s), (params.gamma, design.t))
+    raise ValidationError(f"unsupported design type {type(design).__name__}")
+
+
+def _scaled_gaps(beta: float, design: Design1D) -> np.ndarray:
     x = beta * np.diff(design.as_array())
-    if np.any(x < min_scaled_gap):
+    if np.any(x < MIN_SCALED_GAP):
         raise NearSingularDesignError(
-            f"scaled gap beta*d below {min_scaled_gap:g}; design points are "
+            f"scaled gap beta*d below {MIN_SCALED_GAP:g}; design points are "
             "numerically coincident at this length-scale"
         )
     return x
 
 
-def _precision_bands(
-    beta: float, design: Design1D, min_scaled_gap: float = MIN_SCALED_GAP
-) -> tuple[np.ndarray, np.ndarray]:
+def _gap_decay(beta: float, design: Design1D) -> tuple[np.ndarray, np.ndarray]:
+    """Per-gap decay ``p_k = exp(-beta*d_k)`` and ``1 - p_k^2`` (computed
+    stably), once no scaled gap is below ``MIN_SCALED_GAP``."""
+    x = _scaled_gaps(beta, design)
+    return np.exp(-x), -np.expm1(-2.0 * x)
+
+
+def _precision_bands(beta: float, design: Design1D) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of the tridiagonal inverse correlation.
 
     With ``p_k = exp(-beta*d_k)`` the diagonal is ``1/(1-p_1^2)``, then
@@ -244,9 +276,8 @@ def _precision_bands(
     ``1/(1-p_{n-1}^2)`` at the end; the off-diagonal is
     ``-p_k/(1-p_k^2)``.
     """
-    x = _scaled_gaps(beta, design, min_scaled_gap)
-    p = np.exp(-x)
-    inv_1mp2 = 1.0 / (-np.expm1(-2.0 * x))  # 1/(1 - p_k^2), computed stably
+    p, one_minus_p2 = _gap_decay(beta, design)
+    inv_1mp2 = 1.0 / one_minus_p2
     diag = np.empty(design.n)
     diag[0] = inv_1mp2[0]
     diag[-1] = inv_1mp2[-1]
@@ -277,18 +308,16 @@ def correlation_matrix_1d(params: OuParams, design: Design1D) -> np.ndarray:
     return np.exp(-np.abs(w[:, None] - w[None, :]))
 
 
-def inv_correlation_matrix_1d(
-    params: OuParams, design: Design1D, *, min_scaled_gap: float = MIN_SCALED_GAP
-) -> np.ndarray:
+def inv_correlation_matrix_1d(params: OuParams, design: Design1D) -> np.ndarray:
     """Analytic tridiagonal inverse of :func:`correlation_matrix_1d`.
 
     The bands are those of :func:`_precision_bands`; everything beyond
     the first off-diagonal is exactly zero.
 
     Raises :class:`NearSingularDesignError` when any ``beta*d_k`` falls
-    below ``min_scaled_gap``.
+    below ``MIN_SCALED_GAP``.
     """
-    diag, off = _precision_bands(params.beta, design, min_scaled_gap)
+    diag, off = _precision_bands(params.beta, design)
     n = design.n
     out = np.zeros((n, n))
     idx = np.arange(n)
@@ -298,44 +327,16 @@ def inv_correlation_matrix_1d(
     return out
 
 
-def _check_grid_size(design: GridDesign2D, max_points: int) -> None:
-    if design.size > max_points:
+def inv_correlation_matrix_2d(params: SheetParams, design: GridDesign2D) -> np.ndarray:
+    """Inverse of the grid correlation matrix (s-major), as the Kronecker
+    product of the two analytic axis inverses.  Grids above
+    ``MAX_GRID_POINTS`` points raise :class:`ValidationError`."""
+    if design.size > MAX_GRID_POINTS:
         raise ValidationError(
-            f"grid has {design.size} points, above the cap of {max_points}; "
-            "raise max_points explicitly if this is intended"
+            f"grid has {design.size} points, above the cap of {MAX_GRID_POINTS}"
         )
-
-
-def correlation_matrix_2d(
-    params: SheetParams, design: GridDesign2D, *, max_points: int = MAX_GRID_POINTS
-) -> np.ndarray:
-    """Correlation matrix of the grid observations (unit-variance kernel).
-
-    The separable kernel makes this the Kronecker product of the two axis
-    correlation matrices, in s-major ordering.
-    """
-    _check_grid_size(design, max_points)
-    ps = OuParams(params.beta)
-    pt = OuParams(params.gamma)
-    return np.kron(correlation_matrix_1d(ps, design.s), correlation_matrix_1d(pt, design.t))
-
-
-def inv_correlation_matrix_2d(
-    params: SheetParams,
-    design: GridDesign2D,
-    *,
-    max_points: int = MAX_GRID_POINTS,
-    min_scaled_gap: float = MIN_SCALED_GAP,
-) -> np.ndarray:
-    """Inverse of :func:`correlation_matrix_2d`, as the Kronecker product
-    of the two analytic axis inverses."""
-    _check_grid_size(design, max_points)
-    inv_s = inv_correlation_matrix_1d(
-        OuParams(params.beta), design.s, min_scaled_gap=min_scaled_gap
-    )
-    inv_t = inv_correlation_matrix_1d(
-        OuParams(params.gamma), design.t, min_scaled_gap=min_scaled_gap
-    )
+    inv_s = inv_correlation_matrix_1d(OuParams(params.beta), design.s)
+    inv_t = inv_correlation_matrix_1d(OuParams(params.gamma), design.t)
     return np.kron(inv_s, inv_t)
 
 
@@ -346,16 +347,7 @@ def _apply_ar1_factor(beta: float, design: Design1D, z: np.ndarray, axis: int) -
     That factor is the exact AR(1) recursion ``x_0 = z_0``,
     ``x_k = p_k*x_{k-1} + sqrt(1 - p_k^2)*z_k`` with ``p_k = exp(-beta*d_k)``.
     """
-    x = beta * np.diff(design.as_array())
-    one_minus_p2 = -np.expm1(-2.0 * x)
-    bad = np.flatnonzero(~(one_minus_p2 > 0.0))
-    if bad.size:
-        # Gap k joins points k and k+1: leading minor k+2 is singular.
-        k = int(bad[0]) + 2
-        raise NotPositiveDefiniteError(
-            f"covariance is not positive definite (leading minor {k})", minor_index=k
-        )
-    p = np.exp(-x)
+    p, one_minus_p2 = _gap_decay(beta, design)
     q = np.sqrt(one_minus_p2)
     v = np.moveaxis(z, axis, 0)
     for k in range(1, v.shape[0]):
@@ -380,32 +372,18 @@ def sample_observations(
     of the axis factors).  No dense covariance is formed, so memory is
     O(count * n_points), and output is reproducible bit for bit for a
     given ``seed`` (an int or a ``numpy.random.SeedSequence``).
+    Near-coincident points raise :class:`NearSingularDesignError`.
 
     Returns an array of shape ``(count, n_points)``.
     """
     if int(count) != count or count < 1:
         raise ValidationError(f"count must be a positive integer, got {count!r}")
     count = int(count)
-
-    if isinstance(design, Design1D):
-        if not isinstance(params, OuParams):
-            raise ValidationError("1D designs require OuParams")
-        mean = trend.mean_1d(design)
-        axes = ((params.beta, design),)
-        shape = (count, design.n)
-    elif isinstance(design, GridDesign2D):
-        if not isinstance(params, SheetParams):
-            raise ValidationError("grid designs require SheetParams")
-        mean = trend.mean_2d(design)
-        # chol(A (x) B) = chol(A) (x) chol(B): factor each grid axis.
-        axes = ((params.beta, design.s), (params.gamma, design.t))
-        shape = (count, design.n, design.m)
-    else:
-        raise ValidationError(f"unsupported design type {type(design).__name__}")
-
+    axes = _axes(params, design)
+    mean = trend.mean(design)
     rng = np.random.Generator(np.random.Philox(seed))
     z = rng.standard_normal((count, mean.size))
-    grid = z.reshape(shape)
+    grid = z.reshape((count,) + tuple(axis_design.n for _, axis_design in axes))
     for axis, (beta, axis_design) in enumerate(axes, start=1):
         _apply_ar1_factor(beta, axis_design, grid, axis)
     z *= math.sqrt(params.stationary_variance)

@@ -46,7 +46,11 @@ __all__ = [
     "evaluate_design_2d",
 ]
 
-DEFAULT_DET_TOL = 1e-14
+# A 2x2 determinant at or below this fraction of l1*l3, a few rounding
+# units of l1*l3 - l2^2, counts as singular.  The ratio has no units, so
+# rescaling a design moves no decision; on every search family
+# det/(l1*l3) stays above 0.25.
+DET_RTOL = 1e-15
 
 # Relative threshold on 3*tr(A^2) - tr(A)^2 below which a symmetric 3x3
 # matrix is treated as a multiple of the identity (the trig formula is
@@ -84,24 +88,28 @@ def d_objective_1d(entries: FimEntries1D) -> float:
     return entries.l1 * entries.l3 - entries.l2 * entries.l2
 
 
-def r_objective_1d(entries: FimEntries1D, *, det_tol: float = DEFAULT_DET_TOL) -> float:
-    """Condition-number surrogate (l1 + l3)^2 / det, always >= 4."""
+def _checked_det(entries: FimEntries1D):
+    """The determinant, once it is above DET_RTOL * l1 * l3 everywhere."""
     det = d_objective_1d(entries)
-    if not np.all(det > det_tol):
-        raise SingularFimError(f"determinant {det!r} at or below tolerance {det_tol:g}")
+    if not np.all(det > DET_RTOL * entries.l1 * entries.l3):
+        raise SingularFimError(f"determinant {det!r} at or below {DET_RTOL:g} * l1 * l3")
+    return det
+
+
+def r_objective_1d(entries: FimEntries1D) -> float:
+    """Condition-number surrogate (l1 + l3)^2 / det, always >= 4."""
+    det = _checked_det(entries)
     t = entries.l1 + entries.l3
     return t * t / det
 
 
-def k_objective_1d(entries: FimEntries1D, *, det_tol: float = DEFAULT_DET_TOL) -> float:
+def k_objective_1d(entries: FimEntries1D) -> float:
     """Condition number of the 2x2 matrix, in closed form.
 
     Equals ``(l1 + l3 + sqrt((l1 - l3)^2 + 4*l2^2))^2 / (4*det)``, the
     squared largest eigenvalue over the determinant.
     """
-    det = d_objective_1d(entries)
-    if not np.all(det > det_tol):
-        raise SingularFimError(f"determinant {det!r} at or below tolerance {det_tol:g}")
+    det = _checked_det(entries)
     spread = np.sqrt((entries.l1 - entries.l3) ** 2 + 4.0 * entries.l2 * entries.l2)
     top = entries.l1 + entries.l3 + spread
     return 0.25 * top * top / det
@@ -126,7 +134,7 @@ def _det3_symmetric(a: np.ndarray) -> float:
     )
 
 
-def _eigen3_from_invariants(trace, trace_sq, det, *, identity_tol=IDENTITY_MULTIPLE_TOL):
+def _eigen3_from_invariants(trace, trace_sq, det):
     """Eigenvalues from (tr A, tr A^2, det A); array-capable.
 
     Returns (rho, phi, lam_max, lam_mid, lam_min).  lam_mid and lam_min
@@ -134,7 +142,7 @@ def _eigen3_from_invariants(trace, trace_sq, det, *, identity_tol=IDENTITY_MULTI
     product over larger, so it keeps its digits at large condition
     numbers.  Identity multiples give rho, phi their limits 1, 0.
     """
-    rho, phi, lam_max = _largest_eigen3(trace, trace_sq, det, identity_tol)
+    rho, phi, lam_max = _largest_eigen3(trace, trace_sq, det)
     rest = trace - lam_max
     prod = det / np.where(lam_max == 0.0, 1.0, lam_max)  # det is 0 where lam_max is
     root = np.sqrt(np.maximum(rest * rest - 4.0 * prod, 0.0))
@@ -143,14 +151,14 @@ def _eigen3_from_invariants(trace, trace_sq, det, *, identity_tol=IDENTITY_MULTI
     return rho, phi, lam_max, np.maximum(big, small), np.minimum(big, small)
 
 
-def _largest_eigen3(trace, trace_sq, det, identity_tol):
+def _largest_eigen3(trace, trace_sq, det):
     """(rho, phi, lam_max) from the trigonometric formula."""
     trace = np.asarray(trace, dtype=float)
     trace_sq = np.asarray(trace_sq, dtype=float)
     det = np.asarray(det, dtype=float)
     disc = 3.0 * trace_sq - trace * trace
     scale = np.maximum(trace * trace, trace_sq)
-    degenerate = disc <= identity_tol * np.maximum(scale, 1e-300)
+    degenerate = disc <= IDENTITY_MULTIPLE_TOL * np.maximum(scale, 1e-300)
     safe_disc = np.where(degenerate, 1.0, disc)
     with np.errstate(invalid="ignore", divide="ignore"):
         rho = (54.0 * det + trace * (9.0 * trace_sq - 5.0 * trace * trace)) / (
@@ -174,11 +182,9 @@ def _invariants3(matrix: np.ndarray):
     return float(np.trace(a)), float(np.sum(a * a)), _det3_symmetric(a)
 
 
-def eigen3_closed(matrix: np.ndarray, *, identity_tol: float = IDENTITY_MULTIPLE_TOL) -> Eigen3Closed:
+def eigen3_closed(matrix: np.ndarray) -> Eigen3Closed:
     """Eigenvalues of a symmetric 3x3 matrix in closed form."""
-    rho, phi, lam_max, lam_mid, lam_min = _eigen3_from_invariants(
-        *_invariants3(matrix), identity_tol=identity_tol
-    )
+    rho, phi, lam_max, lam_mid, lam_min = _eigen3_from_invariants(*_invariants3(matrix))
     return Eigen3Closed(
         rho=float(rho),
         phi=float(phi),
@@ -186,16 +192,14 @@ def eigen3_closed(matrix: np.ndarray, *, identity_tol: float = IDENTITY_MULTIPLE
     )
 
 
-def _cond3_from_invariants(trace, trace_sq, det, *, identity_tol=IDENTITY_MULTIPLE_TOL):
+def _cond3_from_invariants(trace, trace_sq, det):
     """Array-capable condition number from matrix invariants.
 
     No positivity checks; callers own validation.  Invalid (non-PD)
     inputs produce non-positive smallest eigenvalues, which
     :func:`_require_positive_definite` turns into errors.
     """
-    _, _, lam_max, _, lam_min = _eigen3_from_invariants(
-        trace, trace_sq, det, identity_tol=identity_tol
-    )
+    _, _, lam_max, _, lam_min = _eigen3_from_invariants(trace, trace_sq, det)
     with np.errstate(divide="ignore", invalid="ignore"):
         return lam_max / lam_min, lam_min
 
@@ -228,10 +232,10 @@ def _require_positive_definite(cond, lam_min):
     return cond
 
 
-def k_objective_2d(fim: np.ndarray, *, identity_tol: float = IDENTITY_MULTIPLE_TOL) -> float:
+def k_objective_2d(fim: np.ndarray) -> float:
     """Condition number of a positive definite symmetric 3x3 matrix,
     the value a K-optimal grid design minimizes."""
-    cond, lam_min = _cond3_from_invariants(*_invariants3(fim), identity_tol=identity_tol)
+    cond, lam_min = _cond3_from_invariants(*_invariants3(fim))
     return float(_require_positive_definite(cond, lam_min))
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from ._scalar import bisect_then_secant
 from .exceptions import ValidationError
-from .fim import FimEntries2D, _equidistant_entries, _points_entries, fim_entries_equidistant_1d
+from .fim import FimEntries2D, _equidistant_entries, _points_entries
 from .model import OuParams, SheetParams
 from .objectives import (
     _cond3_from_entries,
@@ -326,7 +326,9 @@ def two_point_k_optimal(params: OuParams, tol: float = 1e-10) -> SearchResult:
     except ValueError as exc:
         raise ValidationError(f"two-point root bracket failed: {exc}") from exc
     root = math.exp(u)
-    value = condition_from_surrogate(r_objective_1d(fim_entries_equidistant_1d(params, root, 2)))
+    # K at the root itself: below rate ~7e-7 the scaled root 2*rate^2 lies
+    # under the coincidence floor of the validated equidistant entries.
+    value = condition_from_surrogate(r_objective_1d(_equidistant_entries(params.beta, root, 2)))
     return SearchResult(
         argopt=root,
         value=float(value),

@@ -17,7 +17,6 @@ from oudesign import (
     doubling_ratio_2d,
     fim_entries_equidistant_1d,
 )
-from oudesign._scalar import golden_section_min
 
 
 def test_limit_d_values():
@@ -34,12 +33,14 @@ def test_limit_k_values():
 
 
 def test_limit_k_single_maximum():
-    x, neg_val, _, ok = golden_section_min(
-        lambda b: -domain_doubling_limit_k(b), 1e-4, 5.0, 1e-10
-    )
-    assert ok
-    assert x == pytest.approx(0.2730, abs=1e-3)
-    assert -neg_val == pytest.approx(2.3454, abs=1e-3)
+    betas = np.linspace(1e-4, 5.0, 50_001)
+    values = np.array([domain_doubling_limit_k(b) for b in betas])
+    i = int(np.argmax(values))
+    assert 0 < i < betas.size - 1
+    # one maximum: rising before it, falling after it
+    assert np.all(np.diff(values[: i + 1]) > 0) and np.all(np.diff(values[i:]) < 0)
+    assert betas[i] == pytest.approx(0.2730, abs=1e-3)
+    assert values[i] == pytest.approx(2.3454, abs=1e-3)
 
 
 def test_limit_d_axis_values():

@@ -25,7 +25,7 @@ from helpers import random_design
 def test_gls_noiseless_recovers_trend():
     design = Design1D((0.0, 0.3, 0.7, 1.0))
     trend = TrendParams(2.0, -3.0)
-    y = trend.mean_1d(design)
+    y = trend.mean(design)
     est = gls_estimate(y, design, OuParams(1.2))
     assert np.allclose(est, [2.0, -3.0], atol=1e-10)
 
@@ -33,7 +33,7 @@ def test_gls_noiseless_recovers_trend():
 def test_gls_noiseless_recovers_trend_2d():
     design = GridDesign2D((0.0, 0.5, 1.0), (0.0, 1.0))
     trend = TrendParams(1.0, 2.0, -0.5)
-    y = trend.mean_2d(design)
+    y = trend.mean(design)
     est = gls_estimate(y, design, SheetParams(1.0, 2.0))
     assert np.allclose(est, [1.0, 2.0, -0.5], atol=1e-10)
 
@@ -258,5 +258,17 @@ def test_efficiency_2d_runs_above_dense_grid_cap():
     rep = run_efficiency_2d(params, McConfig(replicates=4, seed=1, design_pair=(design, design)))
     assert rep.eff_percent == 100.0 and np.isfinite(rep.mse_k)
     trend = TrendParams(1.0, -2.0, 0.5)
-    est = gls_estimate(trend.mean_2d(design), design, params)
+    est = gls_estimate(trend.mean(design), design, params)
     assert np.allclose(est, [1.0, -2.0, 0.5], atol=1e-10)
+
+
+def test_efficiency_reproduces_recorded_mse():
+    # same-seed outputs recorded with the sampler and GLS of version 0.1.0;
+    # any change in the draws, the recursion or the solve shows here
+    cfg = McConfig(replicates=2000, seed=3)
+    rep = run_efficiency_1d(OuParams(30.0), cfg)
+    assert rep.mse_k == pytest.approx(0.001218223190750217, rel=1e-13)
+    assert rep.mse_d == pytest.approx(0.0014831472367997924, rel=1e-13)
+    rep = run_efficiency_2d(SheetParams(10.0, 10.0), cfg)
+    assert rep.mse_k == pytest.approx(0.00010856766676256632, rel=1e-13)
+    assert rep.mse_d == pytest.approx(9.28309051937752e-05, rel=1e-13)

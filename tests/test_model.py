@@ -5,13 +5,11 @@ from oudesign import (
     Design1D,
     GridDesign2D,
     NearSingularDesignError,
-    NotPositiveDefiniteError,
     OuParams,
     SheetParams,
     TrendParams,
     ValidationError,
     correlation_matrix_1d,
-    correlation_matrix_2d,
     inv_correlation_matrix_1d,
     inv_correlation_matrix_2d,
     sample_observations,
@@ -127,9 +125,19 @@ def test_inverse_near_singularity_guard():
         inv_correlation_matrix_1d(params, design)
 
 
+def _kron_correlation(params, g):
+    # the sheet correlation as the Kronecker product of the axis ones
+    return np.kron(
+        correlation_matrix_1d(OuParams(params.beta), g.s),
+        correlation_matrix_1d(OuParams(params.gamma), g.t),
+    )
+
+
 def test_cov2d_separability_trivial():
     g = GridDesign2D((0.0, 1.0), (0.0, 1.0))
-    c = correlation_matrix_2d(SheetParams(np.log(2), np.log(2)), g)
+    params = SheetParams(np.log(2), np.log(2))
+    c = _kron_correlation(params, g)
+    assert np.allclose(c, correlation_direct_2d(params, g), rtol=1e-14, atol=0)
     # entry for ((0,0),(1,1)) = 0.5*0.5
     assert c[0, 3] == pytest.approx(0.25, rel=1e-14)
 
@@ -139,7 +147,7 @@ def test_cov2d_matches_direct_kernel():
     g = GridDesign2D(random_design(rng, 3), random_design(rng, 3))
     params = SheetParams(0.8, 1.4)
     assert np.allclose(
-        correlation_matrix_2d(params, g),
+        _kron_correlation(params, g),
         correlation_direct_2d(params, g),
         rtol=0,
         atol=1e-12,
@@ -150,7 +158,7 @@ def test_cov2d_inverse_is_kron_of_axis_inverses():
     rng = np.random.default_rng(4)
     g = GridDesign2D(random_design(rng, 3), random_design(rng, 2))
     params = SheetParams(0.5, 2.0)
-    c = correlation_matrix_2d(params, g)
+    c = correlation_direct_2d(params, g)
     inv = inv_correlation_matrix_2d(params, g)
     assert np.max(np.abs(c @ inv - np.eye(g.size))) < 1e-10
 
@@ -160,7 +168,7 @@ def test_cov2d_size_cap():
         Design1D.equidistant(0.1, 101), Design1D.equidistant(0.1, 101)
     )
     with pytest.raises(ValidationError):
-        correlation_matrix_2d(SheetParams(1.0, 1.0), g)
+        inv_correlation_matrix_2d(SheetParams(1.0, 1.0), g)
 
 
 def test_sampler_degenerate_noise_hits_trend():
@@ -168,7 +176,7 @@ def test_sampler_degenerate_noise_hits_trend():
     design = Design1D((0.0, 0.5, 1.0))
     trend = TrendParams(2.0, -1.0)
     y = sample_observations(params, design, trend, 4, seed=0)
-    assert np.max(np.abs(y - trend.mean_1d(design)[None, :])) < 1e-9
+    assert np.max(np.abs(y - trend.mean(design)[None, :])) < 1e-9
 
 
 def test_sampler_seed_determinism():
@@ -200,7 +208,7 @@ def test_sampler_mean_2d():
     design = GridDesign2D((0.0, 1.0), (0.0, 2.0))
     trend = TrendParams(1.0, 2.0, -1.0)
     y = sample_observations(params, design, trend, 1, seed=0)
-    assert np.allclose(y[0], trend.mean_2d(design), atol=1e-9)
+    assert np.allclose(y[0], trend.mean(design), atol=1e-9)
 
 
 def test_sampler_validation():
@@ -218,14 +226,34 @@ def test_sampler_validation():
         )
 
 
-def test_cholesky_failure_reports_minor():
-    # beta*d underflows to zero at the first gap, so the first two points
-    # coincide for the sampler: leading minor 2 is singular
-    with pytest.raises(NotPositiveDefiniteError) as exc:
-        sample_observations(
-            OuParams(1e-300), Design1D((0.0, 1e-30, 1.0)), TrendParams(0.0, 0.0), 2, 0
-        )
-    assert exc.value.minor_index == 2
+def test_sampler_rejects_near_coincident_points():
+    # the floor that GLS and the information entries apply; at rate 1e-300
+    # beta*d underflows to zero at the first gap
+    for beta, design in ((1.0, (0.0, 1e-14, 1.0)), (1e-300, (0.0, 1e-30, 1.0))):
+        with pytest.raises(NearSingularDesignError):
+            sample_observations(OuParams(beta), Design1D(design), TrendParams(0.0, 0.0), 2, 0)
+
+
+def test_trend_arity_must_match_design():
+    line = Design1D((0.0, 0.5, 1.0))
+    grid = GridDesign2D((0.0, 1.0), (0.0, 1.0))
+    with pytest.raises(ValidationError):
+        TrendParams(1.0, 1.0, 5.0).mean(line)
+    with pytest.raises(ValidationError):
+        TrendParams(1.0, 1.0).mean(grid)
+    with pytest.raises(ValidationError):
+        sample_observations(OuParams(1.0), line, TrendParams(1.0, 1.0, 5.0), 2, 0)
+    with pytest.raises(ValidationError):
+        sample_observations(SheetParams(1.0, 1.0), grid, TrendParams(1.0, 1.0), 2, 0)
+
+
+def test_trend_mean_evaluation_order():
+    grid = GridDesign2D((0.0, 0.3, 1.0), (0.1, 0.7))
+    trend = TrendParams(0.1, 0.7, -1.3)
+    s, t = grid.flat_coordinates()
+    assert np.array_equal(trend.mean(grid), 0.1 + 0.7 * s + -1.3 * t)
+    line = Design1D((0.2, 0.9))
+    assert np.array_equal(TrendParams(0.1, 0.7).mean(line), 0.1 + 0.7 * line.as_array())
 
 
 def _dense_sample(params, design, mean, corr, count, seed):
@@ -242,7 +270,7 @@ def test_sampler_matches_dense_cholesky_1d():
     trend = TrendParams(0.5, -2.0)
     y = sample_observations(params, design, trend, 16, seed=21)
     dense = _dense_sample(
-        params, design, trend.mean_1d(design), correlation_direct_1d(params, design), 16, 21
+        params, design, trend.mean(design), correlation_direct_1d(params, design), 16, 21
     )
     assert np.max(np.abs(y - dense)) < 1e-12 * np.sqrt(params.stationary_variance)
 
@@ -254,6 +282,6 @@ def test_sampler_matches_dense_cholesky_2d():
     trend = TrendParams(1.0, 0.5, -1.5)
     y = sample_observations(params, design, trend, 16, seed=22)
     dense = _dense_sample(
-        params, design, trend.mean_2d(design), correlation_direct_2d(params, design), 16, 22
+        params, design, trend.mean(design), correlation_direct_2d(params, design), 16, 22
     )
     assert np.max(np.abs(y - dense)) < 1e-12 * np.sqrt(params.stationary_variance)

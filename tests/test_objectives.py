@@ -86,6 +86,14 @@ def test_r_objective_singular_guard():
         r_objective_1d(FimEntries1D(1.0, 1.0, 1.0))
 
 
+def test_k_objective_has_no_absolute_det_floor():
+    # det is ~1e-15 here, but det/(l1*l3) = 0.77: a well-posed design
+    e = fim_entries_1d(OuParams(1e7), Design1D((0.0, 3e-8, 6e-8)))
+    assert d_objective_1d(e) < 1e-14
+    k = evaluate_design_1d(OuParams(1e7), Design1D((0.0, 3e-8, 6e-8))).k_value
+    assert k == pytest.approx(np.linalg.cond(e.matrix()), rel=1e-6)
+
+
 def test_k_objective_identity_like():
     assert k_objective_1d(FimEntries1D(1.0, 0.0, 1.0)) == pytest.approx(1.0)
 
