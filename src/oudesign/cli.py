@@ -205,8 +205,10 @@ def _emit_search(ctx, spec, tolerances, result, coords):
 @optimize_group.command("three-point")
 @click.option("--beta", type=float, required=True)
 @click.option("--criterion", type=click.Choice(["D", "K"], case_sensitive=False), required=True)
-@click.option("--grid-resolution", type=int, default=2001, show_default=True)
-@click.option("--refine-tol", type=float, default=1e-10, show_default=True)
+@click.option("--grid-resolution", type=int, default=search.THREE_POINT_GRID_RESOLUTION,
+              show_default=True)
+@click.option("--refine-tol", type=float, default=search.THREE_POINT_REFINE_TOL,
+              show_default=True)
 @click.pass_context
 @_handle_errors
 def cmd_three_point(ctx, beta, criterion, grid_resolution, refine_tol):
@@ -223,8 +225,10 @@ def cmd_three_point(ctx, beta, criterion, grid_resolution, refine_tol):
 @click.option("--beta", type=float, required=True)
 @click.option("--gamma", type=float, required=True)
 @click.option("--criterion", type=click.Choice(["D", "K"], case_sensitive=False), required=True)
-@click.option("--grid-resolution", type=int, default=201, show_default=True)
-@click.option("--refine-tol", type=float, default=1e-8, show_default=True)
+@click.option("--grid-resolution", type=int, default=search.NINE_POINT_GRID_RESOLUTION,
+              show_default=True)
+@click.option("--refine-tol", type=float, default=search.NINE_POINT_REFINE_TOL,
+              show_default=True)
 @click.pass_context
 @_handle_errors
 def cmd_nine_point(ctx, beta, gamma, criterion, grid_resolution, refine_tol):

@@ -88,28 +88,35 @@ def d_objective_1d(entries: FimEntries1D) -> float:
     return entries.l1 * entries.l3 - entries.l2 * entries.l2
 
 
-def _checked_det(entries: FimEntries1D):
-    """The determinant, once it is above DET_RTOL * l1 * l3 everywhere."""
-    det = d_objective_1d(entries)
+def _checked_det(entries: FimEntries1D, det=None):
+    """The determinant (``det`` if given, else from the entries), once it
+    is above DET_RTOL * l1 * l3 everywhere."""
+    if det is None:
+        det = d_objective_1d(entries)
     if not np.all(det > DET_RTOL * entries.l1 * entries.l3):
         raise SingularFimError(f"determinant {det!r} at or below {DET_RTOL:g} * l1 * l3")
     return det
 
 
-def r_objective_1d(entries: FimEntries1D) -> float:
-    """Condition-number surrogate (l1 + l3)^2 / det, always >= 4."""
-    det = _checked_det(entries)
+def r_objective_1d(entries: FimEntries1D, det=None) -> float:
+    """Condition-number surrogate (l1 + l3)^2 / det, always >= 4.
+
+    ``det`` replaces l1*l3 - l2^2 when the caller holds it from entries
+    that do not cancel (see :func:`_shifted_entries`).
+    """
+    det = _checked_det(entries, det)
     t = entries.l1 + entries.l3
     return t * t / det
 
 
-def k_objective_1d(entries: FimEntries1D) -> float:
+def k_objective_1d(entries: FimEntries1D, det=None) -> float:
     """Condition number of the 2x2 matrix, in closed form.
 
     Equals ``(l1 + l3 + sqrt((l1 - l3)^2 + 4*l2^2))^2 / (4*det)``, the
-    squared largest eigenvalue over the determinant.
+    squared largest eigenvalue over the determinant; ``det`` as in
+    :func:`r_objective_1d`.
     """
-    det = _checked_det(entries)
+    det = _checked_det(entries, det)
     spread = np.sqrt((entries.l1 - entries.l3) ** 2 + 4.0 * entries.l2 * entries.l2)
     top = entries.l1 + entries.l3 + spread
     return 0.25 * top * top / det
@@ -254,12 +261,14 @@ def _shifted_entries(rate: float, design: Design1D) -> FimEntries1D:
 
 
 def evaluate_design_1d(params: OuParams, design: Design1D) -> ObjectiveEval:
-    """All three criteria at a 1D design."""
+    """All three criteria at a 1D design, each from the shift-invariant
+    determinant."""
     entries = fim_entries_1d(params, design)
+    det = d_objective_1d(_shifted_entries(params.beta, design))
     return ObjectiveEval(
-        d_value=float(d_objective_1d(_shifted_entries(params.beta, design))),
-        k_value=k_objective_1d(entries),
-        r_value=r_objective_1d(entries),
+        d_value=float(det),
+        k_value=k_objective_1d(entries, det),
+        r_value=r_objective_1d(entries, det),
         entries=entries,
     )
 

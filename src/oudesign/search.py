@@ -21,8 +21,11 @@ the open mesh of one or two axes, then zooming grids around the scan's
 argmin.  Unit axes are linear on [0, 1]; gap axes are log d from a lower
 end that follows the rate, so tolerances are relative there.  A
 coordinate has collapsed when it refines to exactly 0 or 1: the zoom
-grids contain the clipped boundary and ties break toward it.  2D values
-are grouped so that swapping the two axes (and rates) is bitwise exact.
+grids contain the clipped boundary and ties break toward it.  Its
+boundary margin is measured against the same design with the collapsed
+coordinates moved MARGIN_STEP inside, so it does not depend on the scan.
+2D values are grouped so that swapping the two axes (and rates) is
+bitwise exact.
 """
 
 from __future__ import annotations
@@ -65,6 +68,14 @@ REFINE_SHRINK = 0.25
 MAX_REFINE_LEVELS = 80
 MAX_REFINE_PASSES = 3
 EDGE_GAIN_RTOL = 1e-12  # criterion rounding is ~1e-15 relative
+# Search defaults, shared by the library and the CLI.  The nine-point scan
+# only has to land in the optimum's basin (a 31-point scan misses the one
+# at rates (1e7, 1), 2.2e-7 relative); the refine sets the precision.
+THREE_POINT_GRID_RESOLUTION = 2001
+THREE_POINT_REFINE_TOL = 1e-10
+NINE_POINT_GRID_RESOLUTION = 41
+NINE_POINT_REFINE_TOL = 1e-8
+MARGIN_STEP = 0.005  # how far inside a collapsed coordinate's margin looks
 
 
 @dataclass(frozen=True)
@@ -88,10 +99,11 @@ class SearchResult:
     bracket: tuple
     collapsed_axes: tuple[bool, ...] | None = None
     local_minima: tuple = ()
-    # Relative criterion improvement of the boundary optimum over the best
-    # fully interior scan value; 0 for interior optima.  Collapse can be
-    # genuine yet numerically negligible (flat criterion surfaces at small
-    # rates beat the interior by ~1e-8 relative); this quantifies it.
+    # Relative criterion improvement of the boundary optimum over the same
+    # design with every collapsed coordinate moved MARGIN_STEP inside; 0
+    # for interior optima.  Collapse can be genuine yet numerically
+    # negligible (flat criterion surfaces at small rates beat the interior
+    # by ~1e-7 relative); this quantifies it.
     boundary_margin: float | None = None
 
 
@@ -222,28 +234,30 @@ def _refine(f, axes, index, tol):
 def _scan_refine(f, axes, tol):
     """Scan the open mesh of the axes, then refine its first row-major
     argmin (ties break toward the smallest coordinates); returns (point,
-    value, evaluations, converged, scan values)."""
+    value, evaluations, converged)."""
     values = f(*np.ix_(*axes))
     index = np.unravel_index(int(np.argmin(values)), values.shape)
     x, fx, evaluations, ok = _refine(f, axes, index, tol)
-    return x, fx, values.size + evaluations, ok, values
+    return x, fx, values.size + evaluations, ok
 
 
-def _collapse(point, value, scan):
-    """Per-coordinate collapse (refined exactly to 0 or 1) and the
-    boundary margin over the best fully interior scan value."""
+def _collapse(f, point, value):
+    """Per-coordinate collapse (refined exactly to 0 or 1), the boundary
+    margin over the same design with each collapsed coordinate moved
+    MARGIN_STEP inside, and the evaluations spent on it (0 or 1)."""
     axes = tuple(c in (0.0, 1.0) for c in point)
     if not any(axes):
-        return axes, 0.0
-    interior = float(np.min(scan[(slice(1, -1),) * scan.ndim]))
-    return axes, (interior - value) / abs(value)
+        return axes, 0.0, 0
+    # 0 -> MARGIN_STEP and 1 -> 1 - MARGIN_STEP
+    inside = [abs(c - MARGIN_STEP) if collapsed else c for c, collapsed in zip(point, axes)]
+    return axes, (float(f(*inside)) - value) / abs(value), 1
 
 
 def three_point_restricted_1d(
     params: OuParams,
     criterion: str = "D",
-    grid_resolution: int = 2001,
-    refine_tol: float = 1e-10,
+    grid_resolution: int = THREE_POINT_GRID_RESOLUTION,
+    refine_tol: float = THREE_POINT_REFINE_TOL,
 ) -> SearchResult:
     """Optimal free point d of the design {0, d, 1} on [0, 1].
 
@@ -265,15 +279,15 @@ def three_point_restricted_1d(
         return -d_objective_1d(e) if crit == "D" else r_objective_1d(e)
 
     axis = np.linspace(0.0, 1.0, grid_resolution)
-    (x,), fx, evaluations, ok, scan = _scan_refine(f, (axis,), refine_tol)
-    (collapsed,), margin = _collapse((x,), fx, scan)
+    (x,), fx, evaluations, ok = _scan_refine(f, (axis,), refine_tol)
+    (collapsed,), margin, extra = _collapse(f, (x,), fx)
     value = -fx if crit == "D" else condition_from_surrogate(fx)
     return SearchResult(
         argopt=x,
         value=float(value),
         converged=ok,
         collapsed=collapsed,
-        iterations=evaluations,
+        iterations=evaluations + extra,
         bracket=(0.0, 1.0),
         boundary_margin=margin,
     )
@@ -401,8 +415,8 @@ def equidistant_d_monotone_check(params: OuParams, n: int, d_grid) -> bool:
 def nine_point_restricted_2d(
     params: SheetParams,
     criterion: str = "D",
-    grid_resolution: int = 201,
-    refine_tol: float = 1e-8,
+    grid_resolution: int = NINE_POINT_GRID_RESOLUTION,
+    refine_tol: float = NINE_POINT_REFINE_TOL,
 ) -> SearchResult:
     """Optimal free coordinates (d, delta) of the grid
     {0, d, 1} x {0, delta, 1} on the unit square.
@@ -426,11 +440,17 @@ def nine_point_restricted_2d(
                 e = _points_entries(rate, _free_point_design(d))
                 return -(e.l1 * d_objective_1d(e))
 
-            return _scan_refine(f, (grid,), refine_tol)
+            return f
 
-        ((x,), fx, ex, okx, scan_x), ((y,), fy, ey, oky, scan_y) = map(axis_factor, (beta, gamma))
+        fs, ft = axis_factor(beta), axis_factor(gamma)
+
+        def f2(d, dl):
+            return -(fs(d) * ft(dl))
+
+        ((x,), fx, ex, okx), ((y,), fy, ey, oky) = (
+            _scan_refine(f, (grid,), refine_tol) for f in (fs, ft)
+        )
         point, fxy, evaluations, ok = (x, y), -(fx * fy), ex + ey, okx and oky
-        scan = -np.multiply.outer(scan_x, scan_y)
     else:
 
         def f2(d, dl):
@@ -438,14 +458,14 @@ def nine_point_restricted_2d(
             t = _points_entries(gamma, _free_point_design(dl))
             return _cond3_from_entries(FimEntries2D(s, t))[0]
 
-        point, fxy, evaluations, ok, scan = _scan_refine(f2, (grid, grid), refine_tol)
-    collapsed_axes, margin = _collapse(point, fxy, scan)
+        point, fxy, evaluations, ok = _scan_refine(f2, (grid, grid), refine_tol)
+    collapsed_axes, margin, extra = _collapse(f2, point, fxy)
     return SearchResult(
         argopt=point,
         value=float(-fxy if crit == "D" else fxy),
         converged=ok,
         collapsed=any(collapsed_axes),
-        iterations=evaluations,
+        iterations=evaluations + extra,
         bracket=((0.0, 1.0), (0.0, 1.0)),
         collapsed_axes=collapsed_axes,
         boundary_margin=margin,
@@ -470,7 +490,7 @@ def four_point_grid_k_optimal(params: SheetParams, tol: float = 1e-8) -> SearchR
         s, t = _equidistant_entries(beta, np.exp(u), 2), _equidistant_entries(gamma, np.exp(v), 2)
         return _cond3_from_entries(FimEntries2D(s, t))[0]
 
-    (u, v), value, evaluations, ok, _ = _scan_refine(f2, axes, tol)
+    (u, v), value, evaluations, ok = _scan_refine(f2, axes, tol)
     pinned = any(c in (a[0], a[-1]) for c, a in zip((u, v), axes))
     return SearchResult(
         argopt=(math.exp(u), math.exp(v)),

@@ -3,6 +3,10 @@
 import numpy as np
 
 from oudesign import Design1D, GridDesign2D
+from oudesign.cli import TABLE1_LARGE, TABLE1_SMALL
+
+# the 50 (beta, gamma) cells of the paper's Table 1
+TABLE1_CELLS = tuple((b, g) for block in (TABLE1_SMALL, TABLE1_LARGE) for b in block for g in block)
 
 
 def random_design(rng, n, min_gap=0.05, max_gap=1.0, start=0.0):

@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import pytest
@@ -106,6 +107,12 @@ def test_optimize_nine_point(runner):
     assert float(row["delta_opt"]) == pytest.approx(0.5, abs=1e-5)
 
 
+def api_defaults(fn):
+    """The search keywords' defaults in the function's own signature."""
+    params = inspect.signature(fn).parameters
+    return {name: params[name].default for name in ("grid_resolution", "refine_tol")}
+
+
 def test_optimize_rows_report_boundary_margin_and_collapsed_axes(runner):
     from oudesign import SheetParams, nine_point_restricted_2d
 
@@ -113,6 +120,9 @@ def test_optimize_rows_report_boundary_margin_and_collapsed_axes(runner):
     doc = json.loads(run_ok(runner, ["--format", "json", *args]))
     row = dict(zip(doc["columns"], doc["rows"][0]))
     res = nine_point_restricted_2d(SheetParams(2.0, 2.0), "K")
+    # the CLI's defaults are the API's, bit for bit, and so is the optimum
+    assert doc["meta"]["tolerances"] == api_defaults(nine_point_restricted_2d)
+    assert (row["d_opt"], row["delta_opt"]) == res.argopt == (0.0, 0.0)
     assert (row["collapsed_s"], row["collapsed_t"]) == res.collapsed_axes == (True, True)
     assert row["boundary_margin"] == pytest.approx(res.boundary_margin, rel=1e-11)
     assert row["boundary_margin"] > 0.0
@@ -125,6 +135,11 @@ def test_optimize_rows_report_boundary_margin_and_collapsed_axes(runner):
     args = ["optimize", "three-point", "--beta", "0.3", "--criterion", "K"]
     header, rows = parse_csv(run_ok(runner, args))
     assert "boundary_margin" in header and "collapsed_s" not in header
+    doc = json.loads(run_ok(runner, ["--format", "json", *args]))
+    row = dict(zip(doc["columns"], doc["rows"][0]))
+    assert doc["meta"]["tolerances"] == api_defaults(three_point_restricted_1d)
+    res = three_point_restricted_1d(OuParams(0.3), "K")
+    assert row["d_opt"] == float(f"{res.argopt:.12g}")  # as the CLI prints it
 
 
 def test_asymptotics_limits(runner):

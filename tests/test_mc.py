@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from oudesign import (
     sample_observations,
 )
 from oudesign._reference import gls_dense
-from helpers import random_design
+from helpers import TABLE1_CELLS, random_design
 
 
 def test_gls_noiseless_recovers_trend():
@@ -188,6 +190,16 @@ def test_efficiency_2d_immaterial_collapse_uses_merged_design():
     assert material.boundary_margin > MATERIAL_COLLAPSE_RTOL
 
 
+def test_efficiency_2d_runs_on_every_table1_cell():
+    # each Table 1 cell is interior or collapses immaterially; a material
+    # collapse still raises
+    config = McConfig(replicates=2)
+    for cell in TABLE1_CELLS:
+        run_efficiency_2d(SheetParams(*cell), config)
+    with pytest.raises(CollapsedDesignError):
+        run_efficiency_2d(SheetParams(2.0, 2.0), config)
+
+
 def test_efficiency_2d_matches_theory_within_mc_error():
     # expected efficiency equals the trace ratio of the inverse FIMs
     from oudesign import nine_point_restricted_2d
@@ -269,6 +281,11 @@ def test_efficiency_reproduces_recorded_mse():
     rep = run_efficiency_1d(OuParams(30.0), cfg)
     assert rep.mse_k == pytest.approx(0.001218223190750217, rel=1e-13)
     assert rep.mse_d == pytest.approx(0.0014831472367997924, rel=1e-13)
-    rep = run_efficiency_2d(SheetParams(10.0, 10.0), cfg)
+    # the 2D half pins the draws of the K design searched when these were
+    # recorded, so the search's last bits (which key the stream) stay out
+    k_axis = Design1D((0.0, 0.0783571457862854, 1.0)), Design1D((0.0, 0.07835715293884277, 1.0))
+    mid = Design1D((0.0, 0.5, 1.0))
+    pair = GridDesign2D(*k_axis), GridDesign2D(mid, mid)
+    rep = run_efficiency_2d(SheetParams(10.0, 10.0), replace(cfg, design_pair=pair))
     assert rep.mse_k == pytest.approx(0.00010856766676256632, rel=1e-13)
     assert rep.mse_d == pytest.approx(9.28309051937752e-05, rel=1e-13)

@@ -258,3 +258,22 @@ def test_d_value_is_shift_invariant(offset):
     expected_2d = d_objective_2d(fim_entries_2d(SheetParams(1.0, 2.0), shifted_grid))
     got_2d = evaluate_design_2d(SheetParams(1.0, 2.0), grid).d_value
     assert got_2d == pytest.approx(expected_2d, rel=1e-12)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e5, 1e7])
+def test_k_and_r_values_keep_their_digits_off_the_origin(offset):
+    # 60-digit H C^{-1} H^T of the same float points; far from the origin
+    # l1*l3 - l2^2 of the raw entries cancels, the shifted one does not
+    mpmath = pytest.importorskip("mpmath")
+    design = Design1D((offset, offset + 0.3, offset + 1.0))
+    with mpmath.workdps(60):
+        s = [mpmath.mpf(p) for p in design.points]
+        corr = mpmath.matrix([[mpmath.exp(-abs(a - b)) for b in s] for a in s])
+        basis = mpmath.matrix([[1] * len(s), s])
+        fim = basis * mpmath.inverse(corr) * basis.T
+        trace, det = fim[0, 0] + fim[1, 1], fim[0, 0] * fim[1, 1] - fim[0, 1] ** 2
+        lam_max = (trace + mpmath.sqrt(trace * trace - 4 * det)) / 2
+        k, r = float(lam_max * lam_max / det), float(trace * trace / det)
+    ev = evaluate_design_1d(OuParams(1.0), design)
+    assert ev.k_value == pytest.approx(k, rel=1e-12)
+    assert ev.r_value == pytest.approx(r, rel=1e-12)
