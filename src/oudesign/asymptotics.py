@@ -55,13 +55,25 @@ def _check_rate(beta: float) -> float:
     return b
 
 
+def _rate_pair(beta: float) -> tuple[float, float]:
+    """(b, 1) divided by max(1, b).  The closed forms below are ratios of
+    homogeneous polynomials in this pair, so they are evaluated as written
+    for rates up to 1 and normalized by their leading power of b above,
+    where b**4 would overflow from about 1e77."""
+    b = _check_rate(beta)
+    s = max(1.0, b)
+    return b / s, 1.0 / s
+
+
 def domain_doubling_limit_d(beta: float) -> float:
     """Limit of the determinant ratio when the observation window doubles
     at fixed spacing: 16(b+1)(b^2+3b+3) / ((b+2)(b^2+6b+12)).
 
     Strictly increasing from 2 (small rates) to 16 (large rates)."""
-    b = _check_rate(beta)
-    return 16.0 * (b + 1.0) * (b * b + 3.0 * b + 3.0) / ((b + 2.0) * (b * b + 6.0 * b + 12.0))
+    b, y = _rate_pair(beta)
+    return 16.0 * (b + y) * (b * b + 3.0 * b * y + 3.0 * y * y) / (
+        (b + 2.0 * y) * (b * b + 6.0 * b * y + 12.0 * y * y)
+    )
 
 
 def domain_doubling_limit_k(beta: float) -> float:
@@ -69,17 +81,20 @@ def domain_doubling_limit_k(beta: float) -> float:
 
     Tends to 2 for small rates, peaks at 2.3454 near rate 0.2730, then
     decreases to (7 + sqrt(37))^2 / (8 + 2*sqrt(13))^2 ~ 0.7397."""
-    b = _check_rate(beta)
+    b, y = _rate_pair(beta)
+    y2 = y * y
     num = (
-        (b + 2.0)
-        * (b * b + 6.0 * b + 12.0)
-        * (7.0 * b * b + 9.0 * b + 3.0 + math.sqrt(37.0 * b**4 + 78.0 * b**3 + 51.0 * b * b + 18.0 * b + 9.0)) ** 2
+        (b + 2.0 * y)
+        * (b * b + 6.0 * b * y + 12.0 * y2)
+        * (7.0 * b * b + 9.0 * b * y + 3.0 * y2 + math.sqrt(
+            37.0 * b**4 + 78.0 * b**3 * y + 51.0 * b * b * y2 + 18.0 * b * y2 * y + 9.0 * y2 * y2)) ** 2
     )
     den = (
         4.0
-        * (b + 1.0)
-        * (b * b + 3.0 * b + 3.0)
-        * (4.0 * b * b + 9.0 * b + 3.0 + math.sqrt(13.0 * b**4 + 48.0 * b**3 + 33.0 * b * b - 18.0 * b + 9.0)) ** 2
+        * (b + y)
+        * (b * b + 3.0 * b * y + 3.0 * y2)
+        * (4.0 * b * b + 9.0 * b * y + 3.0 * y2 + math.sqrt(
+            13.0 * b**4 + 48.0 * b**3 * y + 33.0 * b * b * y2 - 18.0 * b * y2 * y + 9.0 * y2 * y2)) ** 2
     )
     return num / den
 
@@ -88,8 +103,8 @@ def domain_doubling_limit_d_axis(beta: float) -> float:
     """Per-axis determinant-ratio limit for grid designs when one
     coordinate direction's window doubles: 2(b+1)/(b+2) times the 1D
     limit.  Increases from 2 to 32."""
-    b = _check_rate(beta)
-    return 2.0 * (b + 1.0) / (b + 2.0) * domain_doubling_limit_d(b)
+    b, y = _rate_pair(beta)
+    return 2.0 * (b + y) / (b + 2.0 * y) * domain_doubling_limit_d(beta)
 
 
 @dataclass(frozen=True)

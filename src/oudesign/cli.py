@@ -1,11 +1,11 @@
 """Command-line interface.
 
-Every command resolves its inputs into a flat spec, computes through the
-library, and writes a CSV (default) or JSON document whose header embeds
-the tool version, the resolved spec, the seed, and the tolerances in
-play, so any output file can be reproduced exactly.  Numbers print with
-12 significant digits.  Exit codes: 0 success, 2 validation error,
-3 numerical error.
+Every command computes through the library and writes a CSV (default) or
+JSON document whose header embeds the tool version, the command's parsed
+options as its spec (with the seed and the tolerances in play listed
+apart), so any output file can be reproduced exactly.  Numbers print
+with 12 significant digits.  Exit codes: 0 success, 2 validation error,
+3 numerical error, mapped in one place (:class:`_Main`).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from functools import wraps
 
 import click
 import numpy as np
@@ -45,7 +44,19 @@ def _json_value(value):
     return value
 
 
-def _emit(ctx, meta: dict, columns: list[str], rows: list[tuple]) -> None:
+def _emit(columns: list[str], rows: list[tuple], tolerances=(), **extra) -> None:
+    """Write the running command's document.  Its spec is the command path
+    and the parsed options, minus ``seed`` and the option names in
+    ``tolerances`` (listed apart), plus ``extra``."""
+    ctx = click.get_current_context()
+    params = {p.name: ctx.params[p.name] for p in ctx.command.params}
+    command = ctx.command_path.removeprefix(ctx.find_root().command_path + " ")
+    spec = {k: v for k, v in params.items() if k != "seed" and k not in tolerances}
+    meta = {"tool": f"oudesign {__version__}", "spec": {"command": command, **spec, **extra}}
+    if "seed" in params:
+        meta["seed"] = params["seed"]
+    if tolerances:
+        meta["tolerances"] = {k: v for k, v in params.items() if k in tolerances}
     fmt = ctx.obj["format"]
     if fmt == "json":
         doc = {
@@ -73,28 +84,6 @@ def _emit(ctx, meta: dict, columns: list[str], rows: list[tuple]) -> None:
         raise ValidationError(
             f"cannot write output file {output!r}: {exc.strerror or exc}"
         ) from exc
-
-
-def _meta(spec: dict, seed=None, tolerances: dict | None = None) -> dict:
-    meta = {"tool": f"oudesign {__version__}", "spec": spec}
-    if seed is not None:
-        meta["seed"] = seed
-    if tolerances:
-        meta["tolerances"] = tolerances
-    return meta
-
-
-def _handle_errors(fn):
-    @wraps(fn)
-    def wrapper(ctx, *args, **kwargs):
-        try:
-            return fn(ctx, *args, **kwargs)
-        except ValidationError as exc:
-            _report_error(ctx, exc, 2)
-        except NumericalError as exc:
-            _report_error(ctx, exc, 3)
-
-    return wrapper
 
 
 def _report_error(ctx, exc, code):
@@ -132,7 +121,20 @@ def _param_range(lo: float, hi: float, points: int, log: bool) -> np.ndarray:
     return np.linspace(lo, hi, points)
 
 
-@click.group()
+class _Main(click.Group):
+    """The root command: the one place where the library's two error
+    families become exit codes."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValidationError as exc:
+            _report_error(ctx, exc, 2)
+        except NumericalError as exc:
+            _report_error(ctx, exc, 3)
+
+
+@click.group(cls=_Main)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True, help="Output document format.")
 @click.option("--output", "-o", type=str, default=None,
@@ -155,12 +157,8 @@ def main(ctx, fmt, output, json_errors):
 @click.option("--sigma", type=float, default=1.0, show_default=True)
 @click.option("--design", type=str, default=None, help="1D points, e.g. 0,0.5,1")
 @click.option("--grid", type=str, default=None, help="2D grid, e.g. 0,0.5,1x0,1")
-@click.pass_context
-@_handle_errors
-def cmd_fim(ctx, model, beta, gamma, sigma, design, grid):
+def cmd_fim(model, beta, gamma, sigma, design, grid):
     """Information-matrix entries and matrix for a design."""
-    spec = {"command": "fim", "model": model, "beta": beta, "gamma": gamma,
-            "sigma": sigma, "design": design, "grid": grid}
     rows = []
     if model == "process":
         if design is None:
@@ -183,7 +181,7 @@ def cmd_fim(ctx, model, beta, gamma, sigma, design, grid):
     for i in range(matrix.shape[0]):
         for j in range(matrix.shape[1]):
             rows.append(("matrix", f"a{i}{j}", matrix[i, j]))
-    _emit(ctx, _meta(spec), ["section", "name", "value"], rows)
+    _emit(["section", "name", "value"], rows)
 
 
 @main.group("optimize")
@@ -191,7 +189,7 @@ def optimize_group():
     """Design searches under the D or K criterion."""
 
 
-def _emit_search(ctx, spec, tolerances, result, coords):
+def _emit_search(result, coords, tolerances):
     columns = [*coords, "value", "converged", "collapsed", "iterations", "boundary_margin"]
     argopt = result.argopt if isinstance(result.argopt, tuple) else (result.argopt,)
     row = (*argopt, result.value, result.converged, result.collapsed, result.iterations,
@@ -199,7 +197,7 @@ def _emit_search(ctx, spec, tolerances, result, coords):
     if result.collapsed_axes is not None:
         columns += ["collapsed_s", "collapsed_t"]
         row += tuple(result.collapsed_axes)
-    _emit(ctx, _meta(spec, tolerances=tolerances), columns, [row])
+    _emit(columns, [row], tolerances)
 
 
 @optimize_group.command("three-point")
@@ -209,16 +207,12 @@ def _emit_search(ctx, spec, tolerances, result, coords):
               show_default=True)
 @click.option("--refine-tol", type=float, default=search.THREE_POINT_REFINE_TOL,
               show_default=True)
-@click.pass_context
-@_handle_errors
-def cmd_three_point(ctx, beta, criterion, grid_resolution, refine_tol):
+def cmd_three_point(beta, criterion, grid_resolution, refine_tol):
     """Free point of the design {0, d, 1} on the unit interval."""
-    spec = {"command": "optimize three-point", "beta": beta, "criterion": criterion.upper()}
-    tol = {"grid_resolution": grid_resolution, "refine_tol": refine_tol}
     res = search.three_point_restricted_1d(
         OuParams(beta), criterion, grid_resolution, refine_tol
     )
-    _emit_search(ctx, spec, tol, res, ["d_opt"])
+    _emit_search(res, ["d_opt"], ("grid_resolution", "refine_tol"))
 
 
 @optimize_group.command("nine-point")
@@ -229,55 +223,41 @@ def cmd_three_point(ctx, beta, criterion, grid_resolution, refine_tol):
               show_default=True)
 @click.option("--refine-tol", type=float, default=search.NINE_POINT_REFINE_TOL,
               show_default=True)
-@click.pass_context
-@_handle_errors
-def cmd_nine_point(ctx, beta, gamma, criterion, grid_resolution, refine_tol):
+def cmd_nine_point(beta, gamma, criterion, grid_resolution, refine_tol):
     """Free coordinates of the grid {0, d, 1} x {0, delta, 1}."""
-    spec = {"command": "optimize nine-point", "beta": beta, "gamma": gamma,
-            "criterion": criterion.upper()}
-    tol = {"grid_resolution": grid_resolution, "refine_tol": refine_tol}
     res = search.nine_point_restricted_2d(
         SheetParams(beta, gamma), criterion, grid_resolution, refine_tol
     )
-    _emit_search(ctx, spec, tol, res, ["d_opt", "delta_opt"])
+    _emit_search(res, ["d_opt", "delta_opt"], ("grid_resolution", "refine_tol"))
 
 
 @optimize_group.command("two-point")
 @click.option("--beta", type=float, required=True)
 @click.option("--tol", type=float, default=1e-10, show_default=True)
-@click.pass_context
-@_handle_errors
-def cmd_two_point(ctx, beta, tol):
+def cmd_two_point(beta, tol):
     """K-optimal spacing of the two-point design {0, d}."""
-    spec = {"command": "optimize two-point", "beta": beta}
     res = search.two_point_k_optimal(OuParams(beta), tol)
-    _emit_search(ctx, spec, {"tol": tol}, res, ["d_opt"])
+    _emit_search(res, ["d_opt"], ("tol",))
 
 
 @optimize_group.command("four-point")
 @click.option("--beta", type=float, required=True)
 @click.option("--gamma", type=float, required=True)
 @click.option("--tol", type=float, default=1e-8, show_default=True)
-@click.pass_context
-@_handle_errors
-def cmd_four_point(ctx, beta, gamma, tol):
+def cmd_four_point(beta, gamma, tol):
     """K-optimal spacings of the 2x2 grid {0, d} x {0, delta}."""
-    spec = {"command": "optimize four-point", "beta": beta, "gamma": gamma}
     res = search.four_point_grid_k_optimal(SheetParams(beta, gamma), tol)
-    _emit_search(ctx, spec, {"tol": tol}, res, ["d_opt", "delta_opt"])
+    _emit_search(res, ["d_opt", "delta_opt"], ("tol",))
 
 
 @optimize_group.command("equidistant")
 @click.option("--beta", type=float, required=True)
 @click.option("--n", type=int, required=True)
 @click.option("--tol", type=float, default=1e-10, show_default=True)
-@click.pass_context
-@_handle_errors
-def cmd_equidistant(ctx, beta, n, tol):
+def cmd_equidistant(beta, n, tol):
     """K-optimal step size of the equidistant n-point design."""
-    spec = {"command": "optimize equidistant", "beta": beta, "n": n}
     res = search.equidistant_k_optimal_1d(OuParams(beta), n, tol)
-    _emit_search(ctx, spec, {"tol": tol}, res, ["d_opt"])
+    _emit_search(res, ["d_opt"], ("tol",))
 
 
 @main.group("asymptotics")
@@ -287,18 +267,15 @@ def asymptotics_group():
 
 @asymptotics_group.command("limits")
 @click.option("--beta", type=float, required=True)
-@click.pass_context
-@_handle_errors
-def cmd_limits(ctx, beta):
+def cmd_limits(beta):
     """Closed-form window-doubling limits at one rate."""
-    spec = {"command": "asymptotics limits", "beta": beta}
     rows = [(
         beta,
         asymptotics.domain_doubling_limit_d(beta),
         asymptotics.domain_doubling_limit_k(beta),
         asymptotics.domain_doubling_limit_d_axis(beta),
     )]
-    _emit(ctx, _meta(spec), ["beta", "limit_d", "limit_k", "limit_d_axis"], rows)
+    _emit(["beta", "limit_d", "limit_k", "limit_d_axis"], rows)
 
 
 @asymptotics_group.command("double")
@@ -310,12 +287,8 @@ def cmd_limits(ctx, beta):
 @click.option("--m", type=int, default=None)
 @click.option("--mode", type=str, required=True,
               help="process: infill|domain; sheet: infill-both|infill-one|domain-both|domain-one")
-@click.pass_context
-@_handle_errors
-def cmd_double(ctx, model, beta, gamma, n, m, mode):
+def cmd_double(model, beta, gamma, n, m, mode):
     """Criterion ratios for one doubled design."""
-    spec = {"command": "asymptotics double", "model": model, "beta": beta,
-            "gamma": gamma, "n": n, "m": m, "mode": mode}
     if model == "process":
         report = asymptotics.doubling_ratio_1d(OuParams(beta), n, mode)
     else:
@@ -328,8 +301,7 @@ def cmd_double(ctx, model, beta, gamma, n, m, mode):
         report.limit_det if report.limit_det is not None else "",
         report.limit_cond if report.limit_cond is not None else "",
     )]
-    _emit(ctx, _meta(spec),
-          ["mode", "n", "m", "ratio_det", "ratio_cond", "limit_det", "limit_cond"], rows)
+    _emit(["mode", "n", "m", "ratio_det", "ratio_cond", "limit_det", "limit_cond"], rows)
 
 
 @asymptotics_group.command("surface")
@@ -338,17 +310,12 @@ def cmd_double(ctx, model, beta, gamma, n, m, mode):
 @click.option("--param-max", type=float, default=50.0, show_default=True)
 @click.option("--grid-size", type=int, default=40, show_default=True)
 @click.option("--tol", type=float, default=1e-3, show_default=True)
-@click.pass_context
-@_handle_errors
-def cmd_surface(ctx, mode, param_min, param_max, grid_size, tol):
+def cmd_surface(mode, param_min, param_max, grid_size, tol):
     """Numeric condition-number doubling-limit surface over a rate grid."""
-    spec = {"command": "asymptotics surface", "mode": mode, "param_min": param_min,
-            "param_max": param_max, "grid_size": grid_size}
     grid = _param_range(param_min, param_max, grid_size, log=True)
     cells = asymptotics.cond_limit_surface_2d(grid, grid, mode=mode, tol=tol)
     rows = [(c.beta, c.gamma, c.estimate, c.error_estimate, c.converged) for c in cells]
-    _emit(ctx, _meta(spec, tolerances={"tol": tol}),
-          ["beta", "gamma", "estimate", "error_estimate", "converged"], rows)
+    _emit(["beta", "gamma", "estimate", "error_estimate", "converged"], rows, ("tol",))
 
 
 @asymptotics_group.command("kopt-curve")
@@ -360,22 +327,16 @@ def cmd_surface(ctx, mode, param_min, param_max, grid_size, tol):
 @click.option("--gamma-max", type=float, default=None)
 @click.option("--gamma-points", type=int, default=None)
 @click.option("--log/--linear", default=False, show_default=True)
-@click.pass_context
-@_handle_errors
-def cmd_kopt_curve(ctx, family, beta_min, beta_max, points, gamma_min, gamma_max,
+def cmd_kopt_curve(family, beta_min, beta_max, points, gamma_min, gamma_max,
                    gamma_points, log):
     """K-optimal coordinates swept over the rate parameter(s)."""
-    spec = {"command": "asymptotics kopt-curve", "family": family,
-            "beta_min": beta_min, "beta_max": beta_max, "points": points,
-            "gamma_min": gamma_min, "gamma_max": gamma_max,
-            "gamma_points": gamma_points, "log": log}
     betas = _param_range(beta_min, beta_max, points, log)
     if family == "three-point":
         rows = [
             (r.beta, r.d_opt, r.k_value, r.collapsed)
             for r in search.kopt_curve_1d(betas)
         ]
-        _emit(ctx, _meta(spec), ["beta", "d_opt", "k_value", "collapsed"], rows)
+        _emit(["beta", "d_opt", "k_value", "collapsed"], rows)
     else:
         if gamma_min is None or gamma_max is None:
             raise ValidationError("nine-point curves need --gamma-min/--gamma-max")
@@ -384,8 +345,7 @@ def cmd_kopt_curve(ctx, family, beta_min, beta_max, points, gamma_min, gamma_max
             (r.beta, r.gamma, r.d_opt, r.delta_opt, r.k_value, r.collapsed_s, r.collapsed_t)
             for r in search.kopt_surface_2d(betas, gammas)
         ]
-        _emit(ctx, _meta(spec),
-              ["beta", "gamma", "d_opt", "delta_opt", "k_value", "collapsed_s", "collapsed_t"],
+        _emit(["beta", "gamma", "d_opt", "delta_opt", "k_value", "collapsed_s", "collapsed_t"],
               rows)
 
 
@@ -398,18 +358,23 @@ TABLE1_SMALL = (0.01, 0.03, 0.05, 0.10, 0.15)
 TABLE1_LARGE = (10.0, 15.0, 20.0, 25.0, 30.0)
 
 
+def _mc_options(fn):
+    """The Monte Carlo options of every simulate command."""
+    for option in (
+        click.option("--sigma", type=float, default=0.25, show_default=True),
+        click.option("--seed", type=int, default=0, show_default=True),
+        click.option("--reps", type=int, default=10000, show_default=True),
+    ):
+        fn = option(fn)
+    return fn
+
+
 @simulate_group.command("eff")
 @click.option("--beta", type=float, required=True)
 @click.option("--gamma", type=float, default=None)
-@click.option("--reps", type=int, default=10000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--sigma", type=float, default=0.25, show_default=True)
-@click.pass_context
-@_handle_errors
-def cmd_eff(ctx, beta, gamma, reps, seed, sigma):
+@_mc_options
+def cmd_eff(beta, gamma, reps, seed, sigma):
     """Relative efficiency at a single rate (pair)."""
-    spec = {"command": "simulate eff", "beta": beta, "gamma": gamma,
-            "reps": reps, "sigma": sigma}
     config = mc.McConfig(replicates=reps, seed=seed, sigma=sigma)
     if gamma is None:
         rep = mc.run_efficiency_1d(OuParams(beta), config)
@@ -419,19 +384,13 @@ def cmd_eff(ctx, beta, gamma, reps, seed, sigma):
         rep = mc.run_efficiency_2d(SheetParams(beta, gamma), config)
         rows = [(beta, gamma, rep.mse_k, rep.mse_d, rep.eff_percent, rep.mc_standard_error)]
         cols = ["beta", "gamma", "mse_k", "mse_d", "eff_percent", "mc_se"]
-    _emit(ctx, _meta(spec, seed=seed), cols, rows)
+    _emit(cols, rows)
 
 
 @simulate_group.command("table1")
-@click.option("--reps", type=int, default=10000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--sigma", type=float, default=0.25, show_default=True)
-@click.pass_context
-@_handle_errors
-def cmd_table1(ctx, reps, seed, sigma):
+@_mc_options
+def cmd_table1(reps, seed, sigma):
     """Efficiency grids over the two 5x5 rate blocks."""
-    spec = {"command": "simulate table1", "reps": reps, "sigma": sigma,
-            "small_block": list(TABLE1_SMALL), "large_block": list(TABLE1_LARGE)}
     config = mc.McConfig(replicates=reps, seed=seed, sigma=sigma)
     rows = []
     for block, values in (("small", TABLE1_SMALL), ("large", TABLE1_LARGE)):
@@ -440,23 +399,17 @@ def cmd_table1(ctx, reps, seed, sigma):
                 rep = mc.run_efficiency_2d(SheetParams(b, g), config)
                 rows.append((block, b, g, rep.mse_k, rep.mse_d,
                              rep.eff_percent, rep.mc_standard_error))
-    _emit(ctx, _meta(spec, seed=seed),
-          ["block", "beta", "gamma", "mse_k", "mse_d", "eff_percent", "mc_se"], rows)
+    _emit(["block", "beta", "gamma", "mse_k", "mse_d", "eff_percent", "mc_se"], rows,
+          small_block=list(TABLE1_SMALL), large_block=list(TABLE1_LARGE))
 
 
 @simulate_group.command("curve")
 @click.option("--interval", type=click.Choice(["lower", "upper"]), required=True)
 @click.option("--points", type=int, default=25, show_default=True)
-@click.option("--reps", type=int, default=10000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--sigma", type=float, default=0.25, show_default=True)
-@click.pass_context
-@_handle_errors
-def cmd_curve(ctx, interval, points, reps, seed, sigma):
+@_mc_options
+def cmd_curve(interval, points, reps, seed, sigma):
     """Efficiency sweep over the rates below (lower) or above (upper)
     the collapse interval."""
-    spec = {"command": "simulate curve", "interval": interval, "points": points,
-            "reps": reps, "sigma": sigma}
     bounds = search.collapse_interval()
     if interval == "lower":
         betas = np.linspace(0.02, bounds.lower - 0.01, points)
@@ -467,8 +420,7 @@ def cmd_curve(ctx, interval, points, reps, seed, sigma):
         (p.beta, p.mse_k, p.mse_d, p.eff_percent, p.mc_standard_error, p.collapsed)
         for p in mc.efficiency_curve(betas, config)
     ]
-    _emit(ctx, _meta(spec, seed=seed),
-          ["beta", "mse_k", "mse_d", "eff_percent", "mc_se", "collapsed"], rows)
+    _emit(["beta", "mse_k", "mse_d", "eff_percent", "mc_se", "collapsed"], rows)
 
 
 if __name__ == "__main__":

@@ -6,6 +6,14 @@ produce a trustworthy double-precision result.  The CLI maps the two
 families to distinct exit codes (2 and 3).
 """
 
+__all__ = [
+    "ValidationError",
+    "CollapsedDesignError",
+    "NumericalError",
+    "NearSingularDesignError",
+    "SingularFimError",
+]
+
 
 class ValidationError(ValueError):
     """Invalid parameters, designs, or configuration."""

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import CollapsedDesignError, SingularFimError, ValidationError
+from .exceptions import CollapsedDesignError, NumericalError, SingularFimError, ValidationError
 from .model import (
     Design1D,
     GridDesign2D,
@@ -159,6 +159,12 @@ def _simulated_mse(params, design, trend, replicates, seed):
     sq = (est - trend.coefficients()[None, :]) ** 2
     per_replicate = sq.mean(axis=1)
     mse = float(per_replicate.mean())
+    if not mse > 0.0:
+        raise NumericalError(
+            f"simulated MSE is {mse:g}: noise of standard deviation "
+            f"{math.sqrt(params.stationary_variance):.3g} vanishes against the trend "
+            "in double precision"
+        )
     se = float(per_replicate.std(ddof=1) / math.sqrt(replicates)) if replicates > 1 else float("nan")
     return mse, se
 

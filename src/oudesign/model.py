@@ -24,8 +24,6 @@ import numpy as np
 from .exceptions import NearSingularDesignError, ValidationError
 
 __all__ = [
-    "MIN_SCALED_GAP",
-    "MAX_GRID_POINTS",
     "OuParams",
     "SheetParams",
     "Design1D",

@@ -31,6 +31,7 @@ bitwise exact.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,11 +59,17 @@ __all__ = [
     "equidistant_d_monotone_check",
     "nine_point_restricted_2d",
     "four_point_grid_k_optimal",
+    "KoptCurvePoint1D",
+    "KoptSurfacePoint2D",
     "kopt_curve_1d",
     "kopt_surface_2d",
 ]
 
 COLLAPSE_EQUATION_MAX_RATE = 170.0  # exp(4*beta) overflows just beyond this
+# Below this rate the two-point spacing equation loses its sign change on
+# the bracket in double precision (from about 1e-79.5); from here up the
+# root is 2*rate within 1e-13 relative at small rates.
+TWO_POINT_MIN_RATE = 1e-75
 REFINE_POINTS = 17
 REFINE_SHRINK = 0.25
 MAX_REFINE_LEVELS = 80
@@ -158,8 +165,7 @@ def collapse_interval(tol: float = 1e-10) -> CollapseInterval:
     The lower root sits in (0.01, 1), the upper in (1, 10); bracket
     failure would signal a transcription bug in the equation itself.
     """
-    if tol <= 0.0:
-        raise ValidationError("tol must be positive")
+    _check_search_args("tol", tol)
     try:
         lower, _, ok1 = bisect_then_secant(collapse_equation, 1e-2, 1.0, 1e-3, tol)
         upper, _, ok2 = bisect_then_secant(collapse_equation, 1.0, 10.0, 1e-3, tol)
@@ -241,6 +247,15 @@ def _scan_refine(f, axes, tol):
     return x, fx, values.size + evaluations, ok
 
 
+def _check_search_args(tol_name, tol, grid_resolution=3):
+    """A tolerance must be positive and finite, a scan an integer number
+    of points, at least 3."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValidationError(f"{tol_name} must be positive and finite, got {tol!r}")
+    if not (isinstance(grid_resolution, numbers.Integral) and grid_resolution >= 3):
+        raise ValidationError(f"grid_resolution must be an integer >= 3, got {grid_resolution!r}")
+
+
 def _collapse(f, point, value):
     """Per-coordinate collapse (refined exactly to 0 or 1), the boundary
     margin over the same design with each collapsed coordinate moved
@@ -270,9 +285,8 @@ def three_point_restricted_1d(
     inside :func:`collapse_interval`.
     """
     crit = _check_criterion(criterion)
+    _check_search_args("refine_tol", refine_tol, grid_resolution)
     beta = params.beta
-    if grid_resolution < 3:
-        raise ValidationError("grid_resolution must be at least 3")
 
     def f(d):
         e = _points_entries(beta, _free_point_design(d))
@@ -327,10 +341,16 @@ def two_point_k_optimal(params: OuParams, tol: float = 1e-10) -> SearchResult:
     bracketed between min(1, rate)/1000 and sqrt(2) and solved in log d,
     so ``tol`` is relative; a bracketing failure would signal a
     transcription bug, not a missing optimum (existence and uniqueness
-    hold for every rate).  The root lies near 2*rate at small rates.
+    hold for every rate).  The root lies near 2*rate at small rates;
+    rates below TWO_POINT_MIN_RATE, where the bracket fails in double
+    precision, raise :class:`ValidationError`.
     """
-    if tol <= 0.0:
-        raise ValidationError("tol must be positive")
+    _check_search_args("tol", tol)
+    if params.beta < TWO_POINT_MIN_RATE:
+        raise ValidationError(
+            f"rate {params.beta:g} is below {TWO_POINT_MIN_RATE:g}, where the two-point "
+            "spacing equation cannot be solved in double precision; the root is 2*rate there"
+        )
     h = _two_point_gap_equation(params.beta)
     lo, hi = 1e-3 * min(1.0, params.beta), math.sqrt(2.0)
     try:
@@ -365,6 +385,7 @@ def equidistant_k_optimal_1d(params: OuParams, n: int, tol: float = 1e-10) -> Se
     """
     if int(n) != n or n < 2:
         raise ValidationError(f"n must be an integer >= 2, got {n!r}")
+    _check_search_args("tol", tol)
     n = int(n)
     beta = params.beta
 
@@ -428,8 +449,7 @@ def nine_point_restricted_2d(
     collapse per coordinate when a minimizing coordinate reaches {0, 1}.
     """
     crit = _check_criterion(criterion)
-    if grid_resolution < 3:
-        raise ValidationError("grid_resolution must be at least 3")
+    _check_search_args("refine_tol", refine_tol, grid_resolution)
     beta, gamma = params.beta, params.gamma
     grid = np.linspace(0.0, 1.0, grid_resolution)
 
@@ -480,8 +500,7 @@ def four_point_grid_k_optimal(params: SheetParams, tol: float = 1e-8) -> SearchR
     refined to ``tol`` relative; an optimum pinned at a scan window's
     end reports ``converged=False``.
     """
-    if tol <= 0.0:
-        raise ValidationError("tol must be positive")
+    _check_search_args("tol", tol)
     beta, gamma = params.beta, params.gamma
     windows = tuple((min(1e-3, 0.1 * rate), 1e3) for rate in (beta, gamma))
     axes = tuple(np.linspace(math.log(lo), math.log(hi), 241) for lo, hi in windows)

@@ -51,6 +51,33 @@ def test_limit_d_axis_values():
     )
 
 
+
+@pytest.mark.parametrize("beta", [10.0**k for k in range(-300, 301, 20)])
+def test_limits_match_mpmath_at_every_rate(beta):
+    # b**4 overflowed from about 1e78, and limit_k was nan from 1e44
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        b = mpmath.mpf(beta)
+        limit_d = 16 * (b + 1) * (b * b + 3 * b + 3) / ((b + 2) * (b * b + 6 * b + 12))
+        limit_k = (
+            (b + 2) * (b * b + 6 * b + 12)
+            * (7 * b * b + 9 * b + 3 + mpmath.sqrt(37 * b**4 + 78 * b**3 + 51 * b * b + 18 * b + 9)) ** 2
+            / (4 * (b + 1) * (b * b + 3 * b + 3)
+               * (4 * b * b + 9 * b + 3 + mpmath.sqrt(13 * b**4 + 48 * b**3 + 33 * b * b - 18 * b + 9)) ** 2)
+        )
+        limit_d_axis = 2 * (b + 1) / (b + 2) * limit_d
+    assert domain_doubling_limit_d(beta) == pytest.approx(float(limit_d), rel=1e-14)
+    assert domain_doubling_limit_k(beta) == pytest.approx(float(limit_k), rel=1e-14)
+    assert domain_doubling_limit_d_axis(beta) == pytest.approx(float(limit_d_axis), rel=1e-14)
+
+
+def test_limits_reach_their_large_rate_values():
+    tail = (7.0 + math.sqrt(37.0)) ** 2 / (8.0 + 2.0 * math.sqrt(13.0)) ** 2
+    for beta in (1e300, 1.7976931348623157e308):
+        assert domain_doubling_limit_d(beta) == pytest.approx(16.0, rel=1e-14)
+        assert domain_doubling_limit_d_axis(beta) == pytest.approx(32.0, rel=1e-14)
+        assert domain_doubling_limit_k(beta) == pytest.approx(tail, rel=1e-14)
+
 def test_limit_monotonicity():
     betas = np.geomspace(1e-3, 1e3, 200)
     d_vals = [domain_doubling_limit_d(b) for b in betas]

@@ -1,6 +1,8 @@
 import inspect
 import json
+import math
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -251,3 +253,104 @@ def test_numeric_precision_12_digits(runner):
     _, rows = parse_csv(out)
     value = rows[0][1]
     assert len(value.replace(".", "").replace("-", "").lstrip("0")) >= 11
+
+
+# One cheap invocation of every leaf command, by command path.
+LEAF_ARGS = {
+    "fim": ["--model", "process", "--beta", "1", "--design", "0,0.5,1"],
+    "optimize three-point": ["--beta", "50", "--criterion", "K"],
+    "optimize nine-point": ["--beta", "10", "--gamma", "10", "--criterion", "D"],
+    "optimize two-point": ["--beta", "0.1"],
+    "optimize four-point": ["--beta", "0.2", "--gamma", "0.3"],
+    "optimize equidistant": ["--beta", "1", "--n", "5"],
+    "asymptotics limits": ["--beta", "1"],
+    "asymptotics double": ["--beta", "1", "--n", "10", "--mode", "domain"],
+    "asymptotics surface": ["--mode", "both", "--grid-size", "2"],
+    "asymptotics kopt-curve": ["--family", "three-point", "--beta-min", "0.05",
+                               "--beta-max", "0.55", "--points", "2"],
+    "simulate eff": ["--beta", "10", "--reps", "20"],
+    "simulate table1": ["--reps", "20"],
+    "simulate curve": ["--interval", "upper", "--points", "2", "--reps", "20"],
+}
+
+
+def leaf_commands(group=main, path=()):
+    """Every leaf command below ``group``, keyed by its command path."""
+    leaves = {}
+    for name, command in group.commands.items():
+        if isinstance(command, click.Group):
+            leaves.update(leaf_commands(command, (*path, name)))
+        else:
+            leaves[" ".join((*path, name))] = command
+    return leaves
+
+
+def test_header_args_cover_every_leaf_command():
+    assert set(LEAF_ARGS) == set(leaf_commands())
+
+
+@pytest.mark.parametrize("path", LEAF_ARGS)
+def test_header_lists_the_parsed_options(runner, path):
+    argv = ["--format", "json", *path.split(), *LEAF_ARGS[path]]
+    meta = json.loads(run_ok(runner, argv))["meta"]
+    spec = dict(meta["spec"])
+    assert spec.pop("command") == path
+    keys = [*spec, *meta.get("tolerances", {}), *(["seed"] if "seed" in meta else [])]
+    expected = {param.name for param in leaf_commands()[path].params}
+    if path == "simulate table1":
+        expected |= {"small_block", "large_block"}  # the two rate blocks it simulates
+    assert len(keys) == len(set(keys))
+    assert set(keys) == expected
+
+
+SEARCH_TOLERANCE_ARGVS = [
+    ["optimize", "three-point", "--beta", "1", "--criterion", "K", "--refine-tol"],
+    ["optimize", "nine-point", "--beta", "1", "--gamma", "2", "--criterion", "K", "--refine-tol"],
+    ["optimize", "two-point", "--beta", "1", "--tol"],
+    ["optimize", "four-point", "--beta", "1", "--gamma", "2", "--tol"],
+    ["optimize", "equidistant", "--beta", "1", "--n", "5", "--tol"],
+]
+
+
+def run_error(runner, args, code):
+    """Run a failing command: no traceback, the given exit code and a
+    one-line error message."""
+    result = runner.invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == code, result.output
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1
+    return result.stderr
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+@pytest.mark.parametrize("argv", SEARCH_TOLERANCE_ARGVS, ids=lambda argv: argv[1])
+def test_bad_search_tolerance_exits_2(runner, argv, tol):
+    run_error(runner, [*argv, tol], 2)
+
+
+def test_bad_grid_resolution_exits_2(runner):
+    argv = ["optimize", "three-point", "--beta", "1", "--criterion", "K", "--grid-resolution", "2"]
+    assert "grid_resolution" in run_error(runner, argv, 2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["asymptotics", "limits", "--beta", "1e100"],
+    ["asymptotics", "double", "--beta", "1e100", "--n", "10", "--mode", "domain"],
+])
+def test_limits_stay_finite_at_huge_rates(runner, argv):
+    doc = json.loads(run_ok(runner, ["--format", "json", *argv]))
+    (row,) = doc["rows"]
+    assert all(isinstance(v, str) or (v is not None and math.isfinite(v)) for v in row)
+
+
+def test_two_point_below_its_rate_floor_exits_2(runner):
+    from oudesign.search import TWO_POINT_MIN_RATE
+
+    message = run_error(runner, ["optimize", "two-point", "--beta", "1e-200"], 2)
+    assert f"{TWO_POINT_MIN_RATE:g}" in message
+
+
+@pytest.mark.parametrize("extra", [[], ["--gamma", "1"]], ids=["process", "sheet"])
+def test_vanishing_noise_exits_3(runner, extra):
+    argv = ["simulate", "eff", "--beta", "1e100", *extra, "--reps", "20"]
+    assert "simulated MSE" in run_error(runner, argv, 3)

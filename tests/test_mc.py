@@ -8,6 +8,7 @@ from oudesign import (
     Design1D,
     GridDesign2D,
     McConfig,
+    NumericalError,
     OuParams,
     SheetParams,
     TrendParams,
@@ -289,3 +290,13 @@ def test_efficiency_reproduces_recorded_mse():
     rep = run_efficiency_2d(SheetParams(10.0, 10.0), replace(cfg, design_pair=pair))
     assert rep.mse_k == pytest.approx(0.00010856766676256632, rel=1e-13)
     assert rep.mse_d == pytest.approx(9.28309051937752e-05, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "run,params",
+    [(run_efficiency_1d, OuParams(1e100)), (run_efficiency_2d, SheetParams(1e100, 1.0))],
+)
+def test_vanishing_noise_raises_numerical_error(run, params):
+    # noise of ~1e-51 vanishes against the unit trend: both MSEs come out 0
+    with pytest.raises(NumericalError, match="simulated MSE"):
+        run(params, McConfig(replicates=20))

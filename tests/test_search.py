@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from oudesign import (
 )
 from oudesign.fim import _equidistant_entries, _points_entries
 from oudesign.objectives import _cond3_from_entries
+from oudesign.search import TWO_POINT_MIN_RATE
 from helpers import TABLE1_CELLS
 
 # positive roots of the collapse equation, 4 decimals
@@ -283,6 +286,44 @@ def test_two_point_root_matches_dense_scan(beta, frozen):
     r = r_objective_1d(fim_entries_equidistant_1d(OuParams(beta), d, 2))
     assert res.argopt == pytest.approx(d[np.argmin(r)], abs=1e-4)
 
+
+
+def test_two_point_rate_floor():
+    res = two_point_k_optimal(OuParams(TWO_POINT_MIN_RATE))
+    assert res.converged
+    assert res.argopt == pytest.approx(2.0 * TWO_POINT_MIN_RATE, rel=1e-13)
+    # below the floor the bracket fails, then a division by zero or NaN
+    for beta in (0.5 * TWO_POINT_MIN_RATE, 1e-80, 1e-160, 1e-200):
+        with pytest.raises(ValidationError, match=f"{TWO_POINT_MIN_RATE:g}"):
+            two_point_k_optimal(OuParams(beta))
+
+
+# every search that takes a tolerance, called with it
+TOLERANT_SEARCHES = {
+    "three-point": lambda tol: three_point_restricted_1d(OuParams(1.0), "K", refine_tol=tol),
+    "nine-point": lambda tol: nine_point_restricted_2d(SheetParams(1.0, 2.0), "K", refine_tol=tol),
+    "two-point": lambda tol: two_point_k_optimal(OuParams(1.0), tol),
+    "four-point": lambda tol: four_point_grid_k_optimal(SheetParams(1.0, 2.0), tol),
+    "equidistant": lambda tol: equidistant_k_optimal_1d(OuParams(1.0), 5, tol),
+    "collapse-interval": lambda tol: collapse_interval(tol),
+}
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("search", TOLERANT_SEARCHES)
+def test_searches_reject_bad_tolerances(search, tol):
+    with pytest.raises(ValidationError, match="positive and finite"):
+        TOLERANT_SEARCHES[search](tol)
+
+
+@pytest.mark.parametrize("resolution", [2, 3.5, 41.0, math.nan])
+@pytest.mark.parametrize(
+    "search,params",
+    [(three_point_restricted_1d, OuParams(1.0)), (nine_point_restricted_2d, SheetParams(1.0, 2.0))],
+)
+def test_searches_reject_bad_grid_resolution(search, params, resolution):
+    with pytest.raises(ValidationError, match="grid_resolution"):
+        search(params, "K", resolution)
 
 def test_equidistant_k_n2_agrees_with_two_point():
     # localization is sqrt(eps)-limited near the flat minimum, so
