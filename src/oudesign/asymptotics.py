@@ -46,6 +46,8 @@ __all__ = [
 
 MODES_1D = ("infill", "domain")
 MODES_2D = ("infill-both", "infill-one", "domain-both", "domain-one")
+# Grid sizes n = m of the doubling sequence behind each limit-surface cell.
+SURFACE_N_SEQUENCE = (25, 50, 100, 200, 400)
 
 
 def _check_rate(beta: float) -> float:
@@ -221,16 +223,12 @@ class CondLimitCell:
 
 
 def cond_limit_surface_2d(
-    betas,
-    gammas,
-    n_sequence: tuple[int, ...] = (25, 50, 100, 200, 400),
-    mode: str = "both",
-    tol: float = 1e-3,
+    betas, gammas, mode: str = "both", tol: float = 1e-3
 ) -> list[CondLimitCell]:
     """Numeric limit surface of the condition-number doubling ratio.
 
     For each rate pair, the ratio is evaluated along the doubling
-    sequence ``n_sequence`` (n = m) and Richardson-extrapolated assuming
+    sequence SURFACE_N_SEQUENCE (n = m) and Richardson-extrapolated assuming
     first-order convergence in 1/n; the error estimate is the difference
     of the last two extrapolants, and ``converged`` flags whether it
     meets ``tol``.  ``mode`` "both" doubles the window in both coordinate
@@ -238,13 +236,9 @@ def cond_limit_surface_2d(
     """
     if mode not in ("both", "one"):
         raise ValidationError(f"mode must be 'both' or 'one', got {mode!r}")
-    if len(n_sequence) < 3:
-        raise ValidationError("n_sequence needs at least three entries")
-    if any(2 * a != b for a, b in zip(n_sequence, n_sequence[1:])):
-        raise ValidationError("n_sequence must double at each step")
     betas = [_check_rate(b) for b in betas]
     gammas = [_check_rate(g) for g in gammas]
-    ks = np.array([_check_n("n", k) for k in n_sequence])
+    ks = np.array(SURFACE_N_SEQUENCE)
     _, ratios = _grid_doubling_ratios(
         np.array(betas)[:, None, None], np.array(gammas)[None, :, None], ks, ks, "domain-" + mode
     )

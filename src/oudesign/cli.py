@@ -123,11 +123,13 @@ def _param_range(lo: float, hi: float, points: int, log: bool) -> np.ndarray:
 
 class _Main(click.Group):
     """The root command: the one place where the library's two error
-    families become exit codes."""
+    families become exit codes, with numpy's floating-point warnings
+    silenced."""
 
     def invoke(self, ctx):
         try:
-            return super().invoke(ctx)
+            with np.errstate(all="ignore"):  # failures surface as the errors below
+                return super().invoke(ctx)
         except ValidationError as exc:
             _report_error(ctx, exc, 2)
         except NumericalError as exc:
@@ -154,17 +156,16 @@ def main(ctx, fmt, output, json_errors):
 @click.option("--model", type=click.Choice(["process", "sheet"]), required=True)
 @click.option("--beta", type=float, required=True)
 @click.option("--gamma", type=float, default=None)
-@click.option("--sigma", type=float, default=1.0, show_default=True)
 @click.option("--design", type=str, default=None, help="1D points, e.g. 0,0.5,1")
 @click.option("--grid", type=str, default=None, help="2D grid, e.g. 0,0.5,1x0,1")
-def cmd_fim(model, beta, gamma, sigma, design, grid):
+def cmd_fim(model, beta, gamma, design, grid):
     """Information-matrix entries and matrix for a design."""
     rows = []
     if model == "process":
         if design is None:
             raise ValidationError("--design is required for --model process")
         d = Design1D(_parse_points(design))
-        entries = fim_entries_1d(OuParams(beta, sigma), d)
+        entries = fim_entries_1d(OuParams(beta), d)
         matrix = entries.matrix()
         rows += [("entry", "l1", entries.l1), ("entry", "l2", entries.l2),
                  ("entry", "l3", entries.l3)]
@@ -173,7 +174,7 @@ def cmd_fim(model, beta, gamma, sigma, design, grid):
             raise ValidationError("--gamma and --grid are required for --model sheet")
         s_pts, t_pts = _parse_grid(grid)
         g = GridDesign2D(Design1D(s_pts), Design1D(t_pts))
-        entries = fim_entries_2d(SheetParams(beta, gamma, sigma), g)
+        entries = fim_entries_2d(SheetParams(beta, gamma), g)
         matrix = entries.matrix()
         se, te = entries.s_entries, entries.t_entries
         rows += [("entry", "l1", se.l1), ("entry", "l2", se.l2), ("entry", "l3", se.l3),
@@ -233,17 +234,15 @@ def cmd_nine_point(beta, gamma, criterion, grid_resolution, refine_tol):
 
 @optimize_group.command("two-point")
 @click.option("--beta", type=float, required=True)
-@click.option("--tol", type=float, default=1e-10, show_default=True)
-def cmd_two_point(beta, tol):
+def cmd_two_point(beta):
     """K-optimal spacing of the two-point design {0, d}."""
-    res = search.two_point_k_optimal(OuParams(beta), tol)
-    _emit_search(res, ["d_opt"], ("tol",))
+    _emit_search(search.two_point_k_optimal(OuParams(beta)), ["d_opt"], ())
 
 
 @optimize_group.command("four-point")
 @click.option("--beta", type=float, required=True)
 @click.option("--gamma", type=float, required=True)
-@click.option("--tol", type=float, default=1e-8, show_default=True)
+@click.option("--tol", type=float, default=search.FOUR_POINT_TOL, show_default=True)
 def cmd_four_point(beta, gamma, tol):
     """K-optimal spacings of the 2x2 grid {0, d} x {0, delta}."""
     res = search.four_point_grid_k_optimal(SheetParams(beta, gamma), tol)
@@ -253,7 +252,7 @@ def cmd_four_point(beta, gamma, tol):
 @optimize_group.command("equidistant")
 @click.option("--beta", type=float, required=True)
 @click.option("--n", type=int, required=True)
-@click.option("--tol", type=float, default=1e-10, show_default=True)
+@click.option("--tol", type=float, default=search.EQUIDISTANT_TOL, show_default=True)
 def cmd_equidistant(beta, n, tol):
     """K-optimal step size of the equidistant n-point design."""
     res = search.equidistant_k_optimal_1d(OuParams(beta), n, tol)

@@ -66,15 +66,14 @@ class McConfig:
     """Simulation settings.
 
     ``sigma`` is the noise scale of the simulated driving process (the
-    design optimizations themselves are scale-free).  ``trend`` defaults
-    to all-ones coefficients of the right arity.  ``design_pair``
+    design optimizations themselves are scale-free).  ``design_pair``
     optionally overrides the (K-optimal, D-optimal) designs instead of
-    searching for them.
+    searching for them.  The simulated trend has all-ones coefficients:
+    the GLS estimation error does not depend on the trend.
     """
 
     replicates: int = 10_000
     seed: int = 0
-    trend: TrendParams | None = None
     sigma: float = 0.25
     design_pair: tuple | None = None
 
@@ -170,12 +169,10 @@ def _simulated_mse(params, design, trend, replicates, seed):
 
 
 def _efficiency(params, k_design, d_design, config: McConfig) -> EffReport:
-    """Simulate both designs at the configured noise scale, with the
-    configured trend or all-ones coefficients, and compare their MSEs."""
+    """Simulate both designs at the configured noise scale, with all-ones
+    trend coefficients, and compare their MSEs."""
     sim_params = replace(params, sigma=config.sigma)
-    trend = config.trend
-    if trend is None:
-        trend = TrendParams(*[1.0] * (1 + len(_axes(sim_params, k_design))))
+    trend = TrendParams(*[1.0] * (1 + len(_axes(sim_params, k_design))))
     mse_k, se_k = _simulated_mse(sim_params, k_design, trend, config.replicates, config.seed)
     mse_d, se_d = _simulated_mse(sim_params, d_design, trend, config.replicates, config.seed)
     eff = 100.0 * mse_k / mse_d

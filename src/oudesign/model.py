@@ -118,12 +118,12 @@ class Design1D:
         object.__setattr__(self, "points", pts)
 
     @classmethod
-    def equidistant(cls, step: float, n: int, start: float = 0.0) -> "Design1D":
-        """Design {start, start+step, ..., start+(n-1)*step}."""
+    def equidistant(cls, step: float, n: int) -> "Design1D":
+        """Design {0, step, ..., (n-1)*step}."""
         step = _require_positive("step", step)
         if int(n) != n or n < 2:
             raise ValidationError(f"n must be an integer >= 2, got {n!r}")
-        return cls(tuple(start + i * step for i in range(int(n))))
+        return cls(tuple(i * step for i in range(int(n))))
 
     @property
     def n(self) -> int:

@@ -93,8 +93,13 @@ def _checked_det(entries: FimEntries1D, det=None):
     is above DET_RTOL * l1 * l3 everywhere."""
     if det is None:
         det = d_objective_1d(entries)
-    if not np.all(det > DET_RTOL * entries.l1 * entries.l3):
-        raise SingularFimError(f"determinant {det!r} at or below {DET_RTOL:g} * l1 * l3")
+    singular = np.logical_not(det > DET_RTOL * entries.l1 * entries.l3)
+    if np.any(singular):
+        ratio = np.fmin.reduce(np.asarray(det / (entries.l1 * entries.l3))[singular])
+        raise SingularFimError(
+            f"{np.count_nonzero(singular)} of {np.size(singular)} designs have a singular "
+            f"information matrix: det/(l1*l3) at or below {DET_RTOL:g} (smallest {ratio:g})"
+        )
     return det
 
 

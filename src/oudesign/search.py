@@ -36,8 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scalar import bisect_then_secant
-from .exceptions import ValidationError
+from .exceptions import NumericalError, ValidationError
 from .fim import FimEntries2D, _equidistant_entries, _points_entries
 from .model import OuParams, SheetParams
 from .objectives import (
@@ -82,6 +81,8 @@ THREE_POINT_GRID_RESOLUTION = 2001
 THREE_POINT_REFINE_TOL = 1e-10
 NINE_POINT_GRID_RESOLUTION = 41
 NINE_POINT_REFINE_TOL = 1e-8
+FOUR_POINT_TOL = 1e-8
+EQUIDISTANT_TOL = 1e-10
 MARGIN_STEP = 0.005  # how far inside a collapsed coordinate's margin looks
 
 
@@ -159,21 +160,34 @@ def collapse_equation(beta: float) -> float:
     )
 
 
-def collapse_interval(tol: float = 1e-10) -> CollapseInterval:
-    """Both positive roots of :func:`collapse_equation`, to ``tol``.
+def collapse_interval() -> CollapseInterval:
+    """Both positive roots of :func:`collapse_equation`, bisected to the
+    last bit.
 
     The lower root sits in (0.01, 1), the upper in (1, 10); bracket
     failure would signal a transcription bug in the equation itself.
     """
-    _check_search_args("tol", tol)
-    try:
-        lower, _, ok1 = bisect_then_secant(collapse_equation, 1e-2, 1.0, 1e-3, tol)
-        upper, _, ok2 = bisect_then_secant(collapse_equation, 1.0, 10.0, 1e-3, tol)
-    except ValueError as exc:
-        raise ValidationError(f"collapse-equation brackets lost their sign change: {exc}") from exc
-    if not (ok1 and ok2):
-        raise ValidationError("collapse-equation root refinement did not converge")
+    lower, _ = _bisect(collapse_equation, 1e-2, 1.0)
+    upper, _ = _bisect(collapse_equation, 1.0, 10.0)
     return CollapseInterval(lower, upper)
+
+
+def _bisect(f, lo, hi):
+    """Root of f on [lo, hi], halving the bracket until its midpoint
+    equals one of its ends; returns (root, evaluations).  The ends must
+    give finite values of opposite signs."""
+    f_lo, f_hi = f(lo), f(hi)
+    if not (math.isfinite(f_lo) and math.isfinite(f_hi) and (f_lo < 0.0) != (f_hi < 0.0)):
+        raise ValidationError(f"no sign change on bracket [{lo:g}, {hi:g}]: f = {f_lo:g}, {f_hi:g}")
+    evaluations = 2
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        f_mid = f(mid)
+        evaluations += 1
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo = mid
+        else:
+            hi = mid
+    return mid, evaluations
 
 
 def three_point_limit_objective(d):
@@ -247,6 +261,25 @@ def _scan_refine(f, axes, tol):
     return x, fx, values.size + evaluations, ok
 
 
+def _checked_value(value, criterion, *rates):
+    """A search's best criterion value, once it is positive and finite."""
+    if not 0.0 < value < math.inf:
+        where = ", ".join(f"{r:g}" for r in rates)
+        raise NumericalError(
+            f"{criterion} search at rate{'s' * (len(rates) > 1)} {where} finds no positive "
+            f"finite criterion value (best {value:g}) in double precision"
+        )
+    return float(value)
+
+
+def _log_axis(lo, hi, points, rate):
+    """Scan axis in log d over the window [lo, hi], whose floor follows
+    the rate."""
+    if not lo > 0.0:
+        raise NumericalError(f"the scan window's floor underflows to 0 at rate {rate:g}")
+    return np.linspace(math.log(lo), math.log(hi), points)
+
+
 def _check_search_args(tol_name, tol, grid_resolution=3):
     """A tolerance must be positive and finite, a scan an integer number
     of points, at least 3."""
@@ -298,7 +331,7 @@ def three_point_restricted_1d(
     value = -fx if crit == "D" else condition_from_surrogate(fx)
     return SearchResult(
         argopt=x,
-        value=float(value),
+        value=_checked_value(value, crit, beta),
         converged=ok,
         collapsed=collapsed,
         iterations=evaluations + extra,
@@ -323,7 +356,7 @@ def _two_point_gap_equation(beta: float):
     """
 
     def h(d: float) -> float:
-        x = beta * d
+        x = min(beta * d, 1e3)  # exp(-x) is 0 from here on; x = inf would make x*exp(-x) nan
         em = math.exp(-x)
         one_m = -math.expm1(-x)  # 1 - e^{-x}
         t = one_m - x * em  # 1 - (x+1) e^{-x}
@@ -334,18 +367,17 @@ def _two_point_gap_equation(beta: float):
     return h
 
 
-def two_point_k_optimal(params: OuParams, tol: float = 1e-10) -> SearchResult:
+def two_point_k_optimal(params: OuParams) -> SearchResult:
     """Unique condition-number-optimal spacing of the design {0, d}.
 
     The optimum is the unique positive root of the spacing equation,
-    bracketed between min(1, rate)/1000 and sqrt(2) and solved in log d,
-    so ``tol`` is relative; a bracketing failure would signal a
-    transcription bug, not a missing optimum (existence and uniqueness
-    hold for every rate).  The root lies near 2*rate at small rates;
-    rates below TWO_POINT_MIN_RATE, where the bracket fails in double
-    precision, raise :class:`ValidationError`.
+    bracketed between min(1, rate)/1000 and sqrt(2) and bisected in log d
+    to the last bit; a bracketing failure would signal a transcription
+    bug, not a missing optimum (existence and uniqueness hold for every
+    rate).  The root lies near 2*rate at small rates; rates below
+    TWO_POINT_MIN_RATE, where the bracket fails in double precision,
+    raise :class:`ValidationError`.
     """
-    _check_search_args("tol", tol)
     if params.beta < TWO_POINT_MIN_RATE:
         raise ValidationError(
             f"rate {params.beta:g} is below {TWO_POINT_MIN_RATE:g}, where the two-point "
@@ -353,28 +385,25 @@ def two_point_k_optimal(params: OuParams, tol: float = 1e-10) -> SearchResult:
         )
     h = _two_point_gap_equation(params.beta)
     lo, hi = 1e-3 * min(1.0, params.beta), math.sqrt(2.0)
-    try:
-        u, iters, ok = bisect_then_secant(
-            lambda u: h(math.exp(u)), math.log(lo), math.log(hi), 1e-3, tol
-        )
-    except ValueError as exc:
-        raise ValidationError(f"two-point root bracket failed: {exc}") from exc
+    u, evaluations = _bisect(lambda u: h(math.exp(u)), math.log(lo), math.log(hi))
     root = math.exp(u)
     # K at the root itself: below rate ~7e-7 the scaled root 2*rate^2 lies
     # under the coincidence floor of the validated equidistant entries.
     value = condition_from_surrogate(r_objective_1d(_equidistant_entries(params.beta, root, 2)))
     return SearchResult(
         argopt=root,
-        value=float(value),
-        converged=bool(ok),
+        value=_checked_value(value, "K", params.beta),
+        converged=True,
         collapsed=False,
-        iterations=iters + 2,  # the bracket's two ends
+        iterations=evaluations,
         bracket=(lo, hi),
         boundary_margin=0.0,
     )
 
 
-def equidistant_k_optimal_1d(params: OuParams, n: int, tol: float = 1e-10) -> SearchResult:
+def equidistant_k_optimal_1d(
+    params: OuParams, n: int, tol: float = EQUIDISTANT_TOL
+) -> SearchResult:
     """Global condition-number-optimal step size of the equidistant
     n-point design, over d > 0.
 
@@ -392,7 +421,7 @@ def equidistant_k_optimal_1d(params: OuParams, n: int, tol: float = 1e-10) -> Se
     # At small rates the optimal step shrinks like rate/(n-1); the scan
     # window follows it.
     lo, hi = min(1e-4, 1e-2 * beta / (n - 1)), 1e4
-    axis = np.linspace(math.log(lo), math.log(hi), 2001)
+    axis = _log_axis(lo, hi, 2001, beta)
 
     def f(u):
         return r_objective_1d(_equidistant_entries(beta, np.exp(u), n))
@@ -413,7 +442,7 @@ def equidistant_k_optimal_1d(params: OuParams, n: int, tol: float = 1e-10) -> Se
     best = min(minima, key=lambda c: c[1])
     return SearchResult(
         argopt=best[0],
-        value=best[1],
+        value=_checked_value(best[1], "K", beta),
         converged=best[2],
         collapsed=False,
         iterations=evaluations,
@@ -482,7 +511,7 @@ def nine_point_restricted_2d(
     collapsed_axes, margin, extra = _collapse(f2, point, fxy)
     return SearchResult(
         argopt=point,
-        value=float(-fxy if crit == "D" else fxy),
+        value=_checked_value(-fxy if crit == "D" else fxy, crit, beta, gamma),
         converged=ok,
         collapsed=any(collapsed_axes),
         iterations=evaluations + extra,
@@ -492,7 +521,7 @@ def nine_point_restricted_2d(
     )
 
 
-def four_point_grid_k_optimal(params: SheetParams, tol: float = 1e-8) -> SearchResult:
+def four_point_grid_k_optimal(params: SheetParams, tol: float = FOUR_POINT_TOL) -> SearchResult:
     """Condition-number-optimal spacings (d, delta) of the 2x2 grid
     {0, d} x {0, delta} over the open quarter plane.
 
@@ -503,7 +532,7 @@ def four_point_grid_k_optimal(params: SheetParams, tol: float = 1e-8) -> SearchR
     _check_search_args("tol", tol)
     beta, gamma = params.beta, params.gamma
     windows = tuple((min(1e-3, 0.1 * rate), 1e3) for rate in (beta, gamma))
-    axes = tuple(np.linspace(math.log(lo), math.log(hi), 241) for lo, hi in windows)
+    axes = tuple(_log_axis(lo, hi, 241, rate) for (lo, hi), rate in zip(windows, (beta, gamma)))
 
     def f2(u, v):
         s, t = _equidistant_entries(beta, np.exp(u), 2), _equidistant_entries(gamma, np.exp(v), 2)
@@ -513,7 +542,7 @@ def four_point_grid_k_optimal(params: SheetParams, tol: float = 1e-8) -> SearchR
     pinned = any(c in (a[0], a[-1]) for c, a in zip((u, v), axes))
     return SearchResult(
         argopt=(math.exp(u), math.exp(v)),
-        value=value,
+        value=_checked_value(value, "K", beta, gamma),
         converged=ok and not pinned,
         collapsed=False,
         iterations=evaluations,
@@ -542,26 +571,24 @@ class KoptSurfacePoint2D:
     collapsed_t: bool
 
 
-def kopt_curve_1d(betas, **search_kwargs) -> list[KoptCurvePoint1D]:
+def kopt_curve_1d(betas) -> list[KoptCurvePoint1D]:
     """Condition-number-optimal three-point coordinate per rate value;
     collapsed entries report d_opt at the boundary (0 or 1)."""
     rows = []
     for b in betas:
-        res = three_point_restricted_1d(OuParams(float(b)), "K", **search_kwargs)
+        res = three_point_restricted_1d(OuParams(float(b)), "K")
         rows.append(
             KoptCurvePoint1D(float(b), float(res.argopt), res.value, res.collapsed)
         )
     return rows
 
 
-def kopt_surface_2d(betas, gammas, **search_kwargs) -> list[KoptSurfacePoint2D]:
+def kopt_surface_2d(betas, gammas) -> list[KoptSurfacePoint2D]:
     """Condition-number-optimal nine-point coordinates over a rate grid."""
     rows = []
     for b in betas:
         for g in gammas:
-            res = nine_point_restricted_2d(
-                SheetParams(float(b), float(g)), "K", **search_kwargs
-            )
+            res = nine_point_restricted_2d(SheetParams(float(b), float(g)), "K")
             d_opt, delta_opt = res.argopt
             cx, cy = res.collapsed_axes
             rows.append(

@@ -71,7 +71,7 @@ def report(number, checks, elapsed, budget, extra=""):
 
 def test_criterion_1_critical_roots():
     t0 = time.perf_counter()
-    ci = collapse_interval(1e-6)
+    ci = collapse_interval()
     elapsed = time.perf_counter() - t0
     checks = [
         (f"lower root {ci.lower:.6f} within 5e-4 of 0.5718", abs(ci.lower - 0.5718) <= 5e-4),

@@ -17,6 +17,7 @@ from oudesign import (
     doubling_ratio_2d,
     fim_entries_equidistant_1d,
 )
+from oudesign.asymptotics import SURFACE_N_SEQUENCE
 
 
 def test_limit_d_values():
@@ -179,13 +180,13 @@ def test_cond_limit_surface_symmetry_and_corner():
 def test_cond_limit_surface_matches_per_cell_ratios(mode):
     # the batched surface reproduces Richardson extrapolation of the
     # per-cell doubling ratios
-    n_sequence = (25, 50, 100, 200)
     grid = (1e-3, 0.3, 2.0, 40.0)
-    cells = cond_limit_surface_2d(grid, grid[::-1], n_sequence=n_sequence, mode=mode)
+    cells = cond_limit_surface_2d(grid, grid[::-1], mode=mode)
     for c in cells:
         params = SheetParams(c.beta, c.gamma)
         ratios = [
-            doubling_ratio_2d(params, k, k, "domain-" + mode).ratio_cond for k in n_sequence
+            doubling_ratio_2d(params, k, k, "domain-" + mode).ratio_cond
+            for k in SURFACE_N_SEQUENCE
         ]
         ex = [2.0 * r2 - r1 for r1, r2 in zip(ratios, ratios[1:])]
         assert c.estimate == pytest.approx(ex[-1], rel=1e-12)
@@ -194,7 +195,7 @@ def test_cond_limit_surface_matches_per_cell_ratios(mode):
 
 def test_cond_limit_surface_equals_its_transpose():
     grid = np.geomspace(0.01, 100.0, 9)
-    cells = cond_limit_surface_2d(grid, grid, mode="both", n_sequence=(25, 50, 100))
+    cells = cond_limit_surface_2d(grid, grid, mode="both")
     est = np.array([c.estimate for c in cells]).reshape(9, 9)
     err = np.array([c.error_estimate for c in cells]).reshape(9, 9)
     assert np.array_equal(est, est.T)
@@ -203,25 +204,24 @@ def test_cond_limit_surface_equals_its_transpose():
 
 def test_cond_limit_surface_interior_maximum():
     grid = np.geomspace(0.05, 50.0, 12)
-    cells = cond_limit_surface_2d(grid, grid, mode="both", tol=5e-2,
-                                  n_sequence=(25, 50, 100, 200))
+    cells = cond_limit_surface_2d(grid, grid, mode="both", tol=5e-2)
     est = np.array([c.estimate for c in cells]).reshape(12, 12)
     i, j = np.unravel_index(np.argmax(est), est.shape)
     assert 0 < i < 11 and 0 < j < 11  # maximum away from the grid boundary
 
 
 def test_cond_limit_surface_validation():
-    with pytest.raises(ValidationError):
-        cond_limit_surface_2d([1.0], [1.0], n_sequence=(25, 50))
-    with pytest.raises(ValidationError):
-        cond_limit_surface_2d([1.0], [1.0], n_sequence=(25, 60, 120))
+    with pytest.raises(ValidationError, match="mode"):
+        cond_limit_surface_2d([1.0], [1.0], mode="domain-both")
+    with pytest.raises(ValidationError, match="rate"):
+        cond_limit_surface_2d([1.0, 0.0], [1.0])
+    with pytest.raises(ValidationError, match="rate"):
+        cond_limit_surface_2d([1.0], [math.inf])
 
 
 def test_cond_limit_surface_flags_nonconvergence():
     # an unreachable tolerance must be reported, not silently accepted
-    cells = cond_limit_surface_2d(
-        [1.0], [1.0], n_sequence=(25, 50, 100), mode="both", tol=1e-15
-    )
+    cells = cond_limit_surface_2d([1.0], [1.0], mode="both", tol=1e-15)
     assert not cells[0].converged
     assert cells[0].error_estimate > 1e-15
 

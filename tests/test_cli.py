@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+from pathlib import Path
 
 import click
 import pytest
@@ -109,14 +110,19 @@ def test_optimize_nine_point(runner):
     assert float(row["delta_opt"]) == pytest.approx(0.5, abs=1e-5)
 
 
-def api_defaults(fn):
+def api_defaults(fn, names=("grid_resolution", "refine_tol")):
     """The search keywords' defaults in the function's own signature."""
     params = inspect.signature(fn).parameters
-    return {name: params[name].default for name in ("grid_resolution", "refine_tol")}
+    return {name: params[name].default for name in names}
 
 
 def test_optimize_rows_report_boundary_margin_and_collapsed_axes(runner):
-    from oudesign import SheetParams, nine_point_restricted_2d
+    from oudesign import (
+        SheetParams,
+        equidistant_k_optimal_1d,
+        four_point_grid_k_optimal,
+        nine_point_restricted_2d,
+    )
 
     args = ["optimize", "nine-point", "--beta", "2", "--gamma", "2", "--criterion", "K"]
     doc = json.loads(run_ok(runner, ["--format", "json", *args]))
@@ -134,6 +140,11 @@ def test_optimize_rows_report_boundary_margin_and_collapsed_axes(runner):
     row = dict(zip(header, rows[0]))
     assert (row["collapsed_s"], row["collapsed_t"]) == ("false", "false")
     assert row["boundary_margin"] == "0"
+    doc = json.loads(run_ok(runner, ["--format", "json", *args]))
+    assert doc["meta"]["tolerances"] == api_defaults(four_point_grid_k_optimal, ("tol",))
+    args = ["optimize", "equidistant", "--beta", "1", "--n", "5"]
+    doc = json.loads(run_ok(runner, ["--format", "json", *args]))
+    assert doc["meta"]["tolerances"] == api_defaults(equidistant_k_optimal_1d, ("tol",))
     args = ["optimize", "three-point", "--beta", "0.3", "--criterion", "K"]
     header, rows = parse_csv(run_ok(runner, args))
     assert "boundary_margin" in header and "collapsed_s" not in header
@@ -306,7 +317,6 @@ def test_header_lists_the_parsed_options(runner, path):
 SEARCH_TOLERANCE_ARGVS = [
     ["optimize", "three-point", "--beta", "1", "--criterion", "K", "--refine-tol"],
     ["optimize", "nine-point", "--beta", "1", "--gamma", "2", "--criterion", "K", "--refine-tol"],
-    ["optimize", "two-point", "--beta", "1", "--tol"],
     ["optimize", "four-point", "--beta", "1", "--gamma", "2", "--tol"],
     ["optimize", "equidistant", "--beta", "1", "--n", "5", "--tol"],
 ]
@@ -354,3 +364,62 @@ def test_two_point_below_its_rate_floor_exits_2(runner):
 def test_vanishing_noise_exits_3(runner, extra):
     argv = ["simulate", "eff", "--beta", "1e100", *extra, "--reps", "20"]
     assert "simulated MSE" in run_error(runner, argv, 3)
+
+
+SWEEP_RATES = ["5e-324", "1e-300", "1e-160", "1e-20", "1e-14", "1e-12", "1", "1e100", "1e300",
+               "1.7e308"]
+# Every optimize leaf, by name: its argv without --beta, and its criterion.
+SWEEP_SEARCHES = {
+    "three-point D": (["three-point", "--criterion", "D"], "D"),
+    "three-point K": (["three-point", "--criterion", "K"], "K"),
+    "nine-point D": (["nine-point", "--gamma", "1", "--criterion", "D"], "D"),
+    "nine-point K": (["nine-point", "--gamma", "1", "--criterion", "K"], "K"),
+    "two-point": (["two-point"], "K"),
+    "four-point": (["four-point", "--gamma", "1"], "K"),
+    "equidistant": (["equidistant", "--n", "5"], "K"),
+}
+
+
+@pytest.mark.parametrize("rate", SWEEP_RATES)
+@pytest.mark.parametrize("search", SWEEP_SEARCHES)
+def test_searches_at_extreme_rates_answer_or_say_why(rate, search):
+    # a search either prints a finite criterion value (a positive one for
+    # K) or exits 2/3 with one error line; never a traceback
+    argv, criterion = SWEEP_SEARCHES[search]
+    result = CliRunner().invoke(main, ["--format", "json", "optimize", *argv, "--beta", rate],
+                                catch_exceptions=False)
+    assert result.exit_code in (0, 2, 3), result.output
+    if result.exit_code:
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1, result.stderr
+        return
+    (row,) = json.loads(result.stdout)["rows"]
+    value = dict(zip(json.loads(result.stdout)["columns"], row))["value"]
+    assert value is not None and math.isfinite(value)
+    assert criterion == "D" or value > 0.0
+
+
+def test_four_point_keeps_its_value_at_a_tiny_rate(runner):
+    # one axis at rate 1e-12 still finds the optimum (the two-point one at
+    # rate 1 along the other axis); from 1e-14 down K is lost to rounding
+    args = ["--format", "json", "optimize", "four-point", "--beta", "1e-12", "--gamma", "1"]
+    doc = json.loads(run_ok(runner, args))
+    assert dict(zip(doc["columns"], doc["rows"][0]))["value"] == pytest.approx(3.6215279, rel=1e-7)
+    message = run_error(runner, ["optimize", "four-point", "--beta", "1e-14", "--gamma", "1"], 3)
+    assert "1e-14, 1" in message
+
+
+def readme_command_lines():
+    """Every line of README's "Command line" sh block, as CLI arguments."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    return [line[1:] for line in lines if line]
+
+
+@pytest.mark.parametrize("argv", readme_command_lines(), ids=" ".join)
+def test_readme_command_lines_run(runner, argv):
+    assert argv[0] in {"fim", "optimize", "asymptotics", "simulate"}
+    if argv[0] == "simulate":
+        argv = [*argv, "--reps", "200"]  # the last --reps wins
+    run_ok(runner, argv)

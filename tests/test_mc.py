@@ -214,15 +214,25 @@ def test_efficiency_2d_matches_theory_within_mc_error():
     assert rep.eff_percent == pytest.approx(theory, abs=3.5 * rep.mc_standard_error)
 
 
-def test_efficiency_trend_arity_validation():
-    with pytest.raises(ValidationError):
-        run_efficiency_1d(
-            OuParams(0.3), McConfig(replicates=10, trend=TrendParams(1, 1, 1))
-        )
-    with pytest.raises(ValidationError):
-        run_efficiency_2d(
-            SheetParams(10.0, 10.0), McConfig(replicates=10, trend=TrendParams(1, 1))
-        )
+@pytest.mark.parametrize(
+    "params,design,coefficients",
+    [
+        (OuParams(30.0), Design1D((0.0, 0.3, 1.0)), (100.0, -3.0)),
+        (SheetParams(10.0, 10.0), GridDesign2D((0.0, 0.4, 1.0), (0.0, 0.6, 1.0)),
+         (100.0, -3.0, 7.0)),
+    ],
+)
+def test_gls_error_does_not_depend_on_trend(params, design, coefficients):
+    # GLS is linear and reproduces any trend exactly, so the estimation
+    # error of the same noise is the same under every trend; efficiency
+    # runs therefore simulate all-ones coefficients only
+    ones = TrendParams(*[1.0] * len(coefficients))
+    other = TrendParams(*coefficients)
+    noise = sample_observations(params, design, ones, 200, seed=3) - ones.mean(design)
+    err_ones = gls_estimate(noise + ones.mean(design), design, params) - ones.coefficients()
+    err_other = gls_estimate(noise + other.mean(design), design, params) - other.coefficients()
+    scale = max(map(abs, coefficients))
+    np.testing.assert_allclose(err_other, err_ones, rtol=0, atol=1e-12 * scale)
 
 
 def test_efficiency_curve_marks_collapse_region():

@@ -65,7 +65,7 @@ def test_collapse_equation_guards():
 
 
 def test_collapse_interval_matches_published_roots():
-    ci = collapse_interval(1e-6)
+    ci = collapse_interval()
     assert ci.lower == pytest.approx(BETA_LOWER, abs=5e-4)
     assert ci.upper == pytest.approx(BETA_UPPER, abs=5e-4)
     assert 0.0 < ci.lower < ci.upper
@@ -74,10 +74,28 @@ def test_collapse_interval_matches_published_roots():
     assert abs(collapse_equation(ci.upper)) < 1e-6 * np.exp(4.0 * ci.upper)
 
 
+def test_collapse_interval_roots_to_the_last_bits():
+    # bisection to the end of the sign change: both roots agree with a
+    # 50-digit root of the same equation to within its rounding
+    mpmath = pytest.importorskip("mpmath")
+
+    def equation(b):
+        e = mpmath.exp
+        return ((b * b - 6 * b + 4) * e(4 * b) + (6 * b * b + 6 * b - 10) * e(3 * b)
+                - (11 * b * b - 10 * b - 2) * e(2 * b) + (2 * b * b - 6 * b + 10) * e(b)
+                - 2 * b * b - 4 * b - 6)
+
+    ci = collapse_interval()
+    with mpmath.workdps(50):
+        for got, bracket in ((ci.lower, (0.5, 0.6)), (ci.upper, (4.9, 5.0))):
+            root = float(mpmath.findroot(equation, bracket, solver="anderson"))
+            assert got == pytest.approx(root, rel=1e-13)
+
+
 def test_boundary_slope_changes_sign_at_roots():
     # one-sided finite-difference slope of the surrogate near d=0 flips
     # sign exactly at the collapse-interval endpoints
-    ci = collapse_interval(1e-10)
+    ci = collapse_interval()
     d0, h = 1e-6, 1e-6
 
     def slope(beta):
@@ -288,6 +306,26 @@ def test_two_point_root_matches_dense_scan(beta, frozen):
 
 
 
+@pytest.mark.parametrize("beta", [1e-75, 1e-40, 1e-6, 0.1, 1.0, 10.0, 1e7])
+def test_two_point_root_to_the_last_bits(beta):
+    # the bisected root against a high-precision root of the spacing
+    # equation d^2/2 = q(rate*d), divided by d^2; q cancels like x^2 in
+    # x = rate*d, so the digits grow with 4*log10(1/rate)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40 + 4 * max(0, -round(math.log10(beta)))):
+        b = mpmath.mpf(beta)
+
+        def scaled(d):
+            x, e = b * d, mpmath.exp
+            num = (1 - (x + 1) * e(-x) + e(-x) * (1 - e(-x))) * (1 - e(-x))
+            return 0.5 - num / (1 - (x + 1) * e(-2 * x)) / (d * d)
+
+        root = float(mpmath.findroot(scaled, (b, mpmath.sqrt(2)), solver="anderson"))
+    res = two_point_k_optimal(OuParams(beta))
+    assert res.converged
+    assert res.argopt == pytest.approx(root, rel=1e-13)
+
+
 def test_two_point_rate_floor():
     res = two_point_k_optimal(OuParams(TWO_POINT_MIN_RATE))
     assert res.converged
@@ -302,10 +340,8 @@ def test_two_point_rate_floor():
 TOLERANT_SEARCHES = {
     "three-point": lambda tol: three_point_restricted_1d(OuParams(1.0), "K", refine_tol=tol),
     "nine-point": lambda tol: nine_point_restricted_2d(SheetParams(1.0, 2.0), "K", refine_tol=tol),
-    "two-point": lambda tol: two_point_k_optimal(OuParams(1.0), tol),
     "four-point": lambda tol: four_point_grid_k_optimal(SheetParams(1.0, 2.0), tol),
     "equidistant": lambda tol: equidistant_k_optimal_1d(OuParams(1.0), 5, tol),
-    "collapse-interval": lambda tol: collapse_interval(tol),
 }
 
 
@@ -605,7 +641,7 @@ def test_kopt_surface_collapse_pattern_matches_table_region():
     # the whole large-rate block supports non-collapsing optima; (2,2)
     # sits inside the 2D collapse region (note: unlike 1D, (5,5) does not
     # collapse; the interior minimum beats the boundary by dense scan)
-    rows = kopt_surface_2d([2.0, 5.0, 10.0, 30.0], [2.0, 5.0, 10.0, 30.0], grid_resolution=101)
+    rows = kopt_surface_2d([2.0, 5.0, 10.0, 30.0], [2.0, 5.0, 10.0, 30.0])
     by_key = {(r.beta, r.gamma): r for r in rows}
     assert by_key[(2.0, 2.0)].collapsed_s and by_key[(2.0, 2.0)].collapsed_t
     assert not by_key[(5.0, 5.0)].collapsed_s
@@ -617,5 +653,5 @@ def test_kopt_surface_collapse_pattern_matches_table_region():
 def test_scan_dispatch():
     rows = kopt_curve_1d([1.0])
     assert rows[0].collapsed
-    rows2 = kopt_surface_2d([10.0], [10.0], grid_resolution=51)
+    rows2 = kopt_surface_2d([10.0], [10.0])
     assert rows2[0].d_opt == pytest.approx(rows2[0].delta_opt, abs=1e-6)
