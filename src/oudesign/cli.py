@@ -293,7 +293,8 @@ def cmd_double(model, beta, gamma, n, m, mode):
     else:
         if gamma is None:
             raise ValidationError("--gamma is required for --model sheet")
-        report = asymptotics.doubling_ratio_2d(SheetParams(beta, gamma), n, m if m else n, mode)
+        m = n if m is None else m
+        report = asymptotics.doubling_ratio_2d(SheetParams(beta, gamma), n, m, mode)
     rows = [(
         report.mode, report.n, report.m if report.m is not None else "",
         report.ratio_det, report.ratio_cond,
@@ -339,7 +340,8 @@ def cmd_kopt_curve(family, beta_min, beta_max, points, gamma_min, gamma_max,
     else:
         if gamma_min is None or gamma_max is None:
             raise ValidationError("nine-point curves need --gamma-min/--gamma-max")
-        gammas = _param_range(gamma_min, gamma_max, gamma_points or points, log)
+        gamma_points = points if gamma_points is None else gamma_points
+        gammas = _param_range(gamma_min, gamma_max, gamma_points, log)
         rows = [
             (r.beta, r.gamma, r.d_opt, r.delta_opt, r.k_value, r.collapsed_s, r.collapsed_t)
             for r in search.kopt_surface_2d(betas, gammas)

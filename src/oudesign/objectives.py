@@ -1,13 +1,10 @@
 """Design criteria on 2x2 and 3x3 information matrices.
 
-Three criteria appear throughout the package:
+Two criteria appear throughout the package:
 
 * the determinant criterion ("D"), maximized by D-optimal designs;
 * the condition number ("K", ratio of extreme eigenvalues), minimized by
-  K-optimal designs;
-* for 2x2 matrices, the surrogate ``r = (l1 + l3)^2 / det >= 4``, a
-  strictly increasing transform of the condition number that is cheaper
-  to optimize: ``k = g(r)`` with ``g(x) = ((sqrt(x) + sqrt(x-4))/2)^2``.
+  K-optimal designs.
 
 Every criterion also takes entries whose fields are arrays, so searches
 and asymptotics evaluate whole grids here.  The 3x3 condition number
@@ -36,9 +33,7 @@ __all__ = [
     "ObjectiveEval",
     "Eigen3Closed",
     "d_objective_1d",
-    "r_objective_1d",
     "k_objective_1d",
-    "condition_from_surrogate",
     "eigen3_closed",
     "k_objective_2d",
     "d_objective_2d",
@@ -60,12 +55,11 @@ IDENTITY_MULTIPLE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ObjectiveEval:
-    """All criteria evaluated at one design, with the entries they came
-    from.  ``r_value`` is None for grid designs (surrogate is 2x2 only)."""
+    """Both criteria evaluated at one design, with the entries they came
+    from."""
 
     d_value: float
     k_value: float
-    r_value: float | None
     entries: FimEntries1D | FimEntries2D
 
 
@@ -88,11 +82,9 @@ def d_objective_1d(entries: FimEntries1D) -> float:
     return entries.l1 * entries.l3 - entries.l2 * entries.l2
 
 
-def _checked_det(entries: FimEntries1D, det=None):
-    """The determinant (``det`` if given, else from the entries), once it
-    is above DET_RTOL * l1 * l3 everywhere."""
-    if det is None:
-        det = d_objective_1d(entries)
+def _checked_det(entries: FimEntries1D):
+    """l1*l3 - l2^2, once it is above DET_RTOL * l1 * l3 everywhere."""
+    det = d_objective_1d(entries)
     singular = np.logical_not(det > DET_RTOL * entries.l1 * entries.l3)
     if np.any(singular):
         ratio = np.fmin.reduce(np.asarray(det / (entries.l1 * entries.l3))[singular])
@@ -103,39 +95,19 @@ def _checked_det(entries: FimEntries1D, det=None):
     return det
 
 
-def r_objective_1d(entries: FimEntries1D, det=None) -> float:
-    """Condition-number surrogate (l1 + l3)^2 / det, always >= 4.
-
-    ``det`` replaces l1*l3 - l2^2 when the caller holds it from entries
-    that do not cancel (see :func:`_shifted_entries`).
-    """
-    det = _checked_det(entries, det)
-    t = entries.l1 + entries.l3
-    return t * t / det
-
-
 def k_objective_1d(entries: FimEntries1D, det=None) -> float:
     """Condition number of the 2x2 matrix, in closed form.
 
     Equals ``(l1 + l3 + sqrt((l1 - l3)^2 + 4*l2^2))^2 / (4*det)``, the
-    squared largest eigenvalue over the determinant; ``det`` as in
-    :func:`r_objective_1d`.
+    squared largest eigenvalue over the determinant.  A caller holding
+    the determinant from entries that do not cancel passes it, already
+    checked, as ``det`` (see :func:`evaluate_design_1d`).
     """
-    det = _checked_det(entries, det)
+    if det is None:
+        det = _checked_det(entries)
     spread = np.sqrt((entries.l1 - entries.l3) ** 2 + 4.0 * entries.l2 * entries.l2)
     top = entries.l1 + entries.l3 + spread
     return 0.25 * top * top / det
-
-
-def condition_from_surrogate(x):
-    """Map a surrogate value to the condition number:
-    g(x) = ((sqrt(x) + sqrt(x - 4))/2)^2 for x >= 4."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 4.0 - 1e-9):
-        raise ValidationError(f"surrogate value {x!r} below its floor of 4")
-    xc = np.maximum(x, 4.0)
-    out = 0.25 * (np.sqrt(xc) + np.sqrt(xc - 4.0)) ** 2
-    return float(out) if out.ndim == 0 else out
 
 
 def _det3_symmetric(a: np.ndarray) -> float:
@@ -266,14 +238,13 @@ def _shifted_entries(rate: float, design: Design1D) -> FimEntries1D:
 
 
 def evaluate_design_1d(params: OuParams, design: Design1D) -> ObjectiveEval:
-    """All three criteria at a 1D design, each from the shift-invariant
-    determinant."""
+    """Both criteria at a 1D design, each from the shift-invariant
+    determinant, checked against the shifted entries it comes from."""
     entries = fim_entries_1d(params, design)
-    det = d_objective_1d(_shifted_entries(params.beta, design))
+    det = _checked_det(_shifted_entries(params.beta, design))
     return ObjectiveEval(
         d_value=float(det),
-        k_value=k_objective_1d(entries, det),
-        r_value=r_objective_1d(entries, det),
+        k_value=float(k_objective_1d(entries, det)),
         entries=entries,
     )
 
@@ -287,6 +258,5 @@ def evaluate_design_2d(params: SheetParams, design: GridDesign2D) -> ObjectiveEv
     return ObjectiveEval(
         d_value=float(d_objective_2d(shifted)),
         k_value=float(_require_positive_definite(*_cond3_from_entries(entries))),
-        r_value=None,
         entries=entries,
     )

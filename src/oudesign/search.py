@@ -37,14 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalError, ValidationError
-from .fim import FimEntries2D, _equidistant_entries, _points_entries
+from .fim import FimEntries1D, FimEntries2D, _equidistant_entries, _points_entries
 from .model import OuParams, SheetParams
-from .objectives import (
-    _cond3_from_entries,
-    condition_from_surrogate,
-    d_objective_1d,
-    r_objective_1d,
-)
+from .objectives import _cond3_from_entries, d_objective_1d, k_objective_1d
 
 __all__ = [
     "SearchResult",
@@ -136,7 +131,7 @@ def collapse_equation(beta: float) -> float:
 
     An exponential polynomial in the covariance rate; its sign decides
     whether shrinking the free point of the three-point design toward the
-    boundary decreases the condition-number surrogate.
+    boundary decreases the condition number.
     """
     b = float(beta)
     if not (0.0 < b):
@@ -191,10 +186,11 @@ def _bisect(f, lo, hi):
 
 
 def three_point_limit_objective(d):
-    """Pointwise large-rate limit of the three-point surrogate:
-    (d^2 + 4)^2 / (2*(d^2 - d + 1)), minimized at the boundary d = 0."""
+    """Pointwise large-rate limit of the three-point condition number,
+    that of the matrix [[3, 1 + d], [1 + d, 1 + d^2]]; minimized at the
+    boundary d = 0, where it is 3 + 2*sqrt(2)."""
     d = np.asarray(d, dtype=float)
-    out = (d * d + 4.0) ** 2 / (2.0 * (d * d - d + 1.0))
+    out = k_objective_1d(FimEntries1D(3.0, 1.0 + d, 1.0 + d * d))
     return float(out) if out.ndim == 0 else out
 
 
@@ -313,9 +309,9 @@ def three_point_restricted_1d(
     center d = 1/2 for rates up to ~7.1566 and then splits into two
     mirror-symmetric interior maxima that migrate toward the ends (the
     uncorrelated-limit behavior).  Criterion "K" minimizes the condition
-    number through its monotone surrogate and flags collapse when the
-    infimum is attained at d in {0, 1}, which happens exactly for rates
-    inside :func:`collapse_interval`.
+    number and flags collapse when the infimum is attained at d in
+    {0, 1}, which happens exactly for rates inside
+    :func:`collapse_interval`.
     """
     crit = _check_criterion(criterion)
     _check_search_args("refine_tol", refine_tol, grid_resolution)
@@ -323,15 +319,14 @@ def three_point_restricted_1d(
 
     def f(d):
         e = _points_entries(beta, _free_point_design(d))
-        return -d_objective_1d(e) if crit == "D" else r_objective_1d(e)
+        return -d_objective_1d(e) if crit == "D" else k_objective_1d(e)
 
     axis = np.linspace(0.0, 1.0, grid_resolution)
     (x,), fx, evaluations, ok = _scan_refine(f, (axis,), refine_tol)
     (collapsed,), margin, extra = _collapse(f, (x,), fx)
-    value = -fx if crit == "D" else condition_from_surrogate(fx)
     return SearchResult(
         argopt=x,
-        value=_checked_value(value, crit, beta),
+        value=_checked_value(-fx if crit == "D" else fx, crit, beta),
         converged=ok,
         collapsed=collapsed,
         iterations=evaluations + extra,
@@ -389,7 +384,7 @@ def two_point_k_optimal(params: OuParams) -> SearchResult:
     root = math.exp(u)
     # K at the root itself: below rate ~7e-7 the scaled root 2*rate^2 lies
     # under the coincidence floor of the validated equidistant entries.
-    value = condition_from_surrogate(r_objective_1d(_equidistant_entries(params.beta, root, 2)))
+    value = k_objective_1d(_equidistant_entries(params.beta, root, 2))
     return SearchResult(
         argopt=root,
         value=_checked_value(value, "K", params.beta),
@@ -407,10 +402,10 @@ def equidistant_k_optimal_1d(
     """Global condition-number-optimal step size of the equidistant
     n-point design, over d > 0.
 
-    The surrogate diverges for both vanishing and growing steps, so a
-    global minimum exists.  A scan in log d locates every local minimum;
-    each is refined (to ``tol`` relative) and all of them are reported
-    (uniqueness is not assumed), the best one winning.
+    The condition number diverges for both vanishing and growing steps,
+    so a global minimum exists.  A scan in log d locates every local
+    minimum; each is refined (to ``tol`` relative) and all of them are
+    reported (uniqueness is not assumed), the best one winning.
     """
     if int(n) != n or n < 2:
         raise ValidationError(f"n must be an integer >= 2, got {n!r}")
@@ -424,21 +419,21 @@ def equidistant_k_optimal_1d(
     axis = _log_axis(lo, hi, 2001, beta)
 
     def f(u):
-        return r_objective_1d(_equidistant_entries(beta, np.exp(u), n))
+        return k_objective_1d(_equidistant_entries(beta, np.exp(u), n))
 
-    r = f(axis)
-    interior = np.flatnonzero((r[1:-1] < r[:-2]) & (r[1:-1] <= r[2:])) + 1
-    evaluations = r.size
+    k = f(axis)
+    interior = np.flatnonzero((k[1:-1] < k[:-2]) & (k[1:-1] <= k[2:])) + 1
+    evaluations = k.size
     minima = []
     for i in interior:
         (u,), fx, evals, ok = _refine(f, (axis,), (i,), tol)
         evaluations += evals
-        minima.append((math.exp(u), float(condition_from_surrogate(fx)), ok))
+        minima.append((math.exp(u), fx, ok))
     if not minima:
         # No interior minimum in the scan window; fall back to the best
         # grid point so the failure is visible rather than silent.
-        i = int(np.argmin(r))
-        minima.append((math.exp(axis[i]), float(condition_from_surrogate(r[i])), False))
+        i = int(np.argmin(k))
+        minima.append((math.exp(axis[i]), float(k[i]), False))
     best = min(minima, key=lambda c: c[1])
     return SearchResult(
         argopt=best[0],

@@ -34,3 +34,23 @@ def random_pd_matrix(rng, size, cond_range=(1.0, 1e4), min_rel_gap=0.0):
         lam = lo * np.exp(np.sort(rng.uniform(0.0, np.log(spread), size)))
         if np.min(np.diff(lam)) >= min_rel_gap * lam[-1]:
             return (q * lam) @ q.T
+
+
+def k_from_r(r):
+    """The condition number of a 2x2 matrix from its r = trace^2/det, the
+    form in which the paper displays it."""
+    return ((np.sqrt(r) + np.sqrt(r - 4.0)) / 2.0) ** 2
+
+
+def k_60_digits(mpmath, rate, points):
+    """Condition number of the information matrix H C^{-1} H^T of the
+    given points, to 60 digits; ``points`` may hold mpmath numbers."""
+    with mpmath.workdps(60):
+        b = mpmath.mpf(rate)
+        s = [mpmath.mpf(p) for p in points]
+        corr = mpmath.matrix([[mpmath.exp(-b * abs(x - y)) for y in s] for x in s])
+        basis = mpmath.matrix([[1] * len(s), s])
+        fim = basis * mpmath.inverse(corr) * basis.T
+        trace, det = fim[0, 0] + fim[1, 1], fim[0, 0] * fim[1, 1] - fim[0, 1] ** 2
+        lam_max = (trace + mpmath.sqrt(trace * trace - 4 * det)) / 2
+        return float(lam_max * lam_max / det)

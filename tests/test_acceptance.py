@@ -27,7 +27,6 @@ from oudesign import (
     SheetParams,
     TrendParams,
     collapse_interval,
-    condition_from_surrogate,
     d_objective_1d,
     d_objective_2d,
     domain_doubling_limit_d,
@@ -45,7 +44,6 @@ from oudesign import (
     k_objective_1d,
     k_objective_2d,
     nine_point_restricted_2d,
-    r_objective_1d,
     run_efficiency_2d,
     sample_observations,
     three_point_restricted_1d,
@@ -348,17 +346,18 @@ def test_criterion_10_property_suites():
     checks.append(("2D det monotone in first step", bool(np.all(np.diff(det_d) > 0))))
     checks.append(("2D det monotone in second step", bool(np.all(np.diff(det_dl) > 0))))
 
-    # surrogate floor and its monotone link to the condition number
+    # 2x2 condition number: its floor of 1 and the eigensolver's ratio
     ok_floor, ok_link = True, True
     for _ in range(100):
         p = OuParams(rng.uniform(0.05, 10.0))
         design = random_design(rng, rng.integers(2, 10))
         e = fim_entries_1d(p, design)
-        r = r_objective_1d(e)
-        ok_floor &= r >= 4.0
-        ok_link &= abs(k_objective_1d(e) - condition_from_surrogate(r)) <= 1e-12 * k_objective_1d(e)
-    checks.append(("surrogate >= 4 on 100 random designs", ok_floor))
-    checks.append(("condition = g(surrogate) to 1e-12 relative", ok_link))
+        k = k_objective_1d(e)
+        w = np.linalg.eigvalsh(e.matrix())
+        ok_floor &= k >= 1.0
+        ok_link &= abs(k - w[-1] / w[0]) <= 1e-9 * k
+    checks.append(("2x2 condition number >= 1 on 100 random designs", ok_floor))
+    checks.append(("2x2 condition number = eigenvalue ratio to 1e-9 relative", ok_link))
 
     # scalar invariance of the condition number on design FIMs
     ok_scale = True

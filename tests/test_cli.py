@@ -343,6 +343,17 @@ def test_bad_grid_resolution_exits_2(runner):
     assert "grid_resolution" in run_error(runner, argv, 2)
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["asymptotics", "double", "--model", "sheet", "--beta", "1", "--gamma", "2", "--n", "4",
+      "--m", "0", "--mode", "infill-both"], "m must be"),
+    (["asymptotics", "kopt-curve", "--family", "nine-point", "--beta-min", "1", "--beta-max", "2",
+      "--gamma-min", "1", "--gamma-max", "2", "--points", "2", "--gamma-points", "0"], "two points"),
+], ids=["double-m", "kopt-curve-gamma-points"])
+def test_zero_counts_are_rejected_not_defaulted(runner, argv, message):
+    # an explicit 0 is bad input, not "use the other count"
+    assert message in run_error(runner, argv, 2)
+
+
 @pytest.mark.parametrize("argv", [
     ["asymptotics", "limits", "--beta", "1e100"],
     ["asymptotics", "double", "--beta", "1e100", "--n", "10", "--mode", "domain"],

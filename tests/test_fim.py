@@ -76,13 +76,24 @@ def test_uncorrelated_limit():
     assert e.l1 == pytest.approx(7.0, rel=1e-12)
 
 
+RATES = tuple(10.0**k for k in range(-6, 8))
+
+
+def assert_near_dense(fim, dense, x, rate):
+    """The dense solve's error model: relative to the largest entry, it
+    loses 1e-14/x, where x is the smallest scaled gap rate*d."""
+    err = np.max(np.abs(fim - dense)) / np.max(np.abs(dense))
+    assert err <= 1e-9 + 1e-14 / x, f"rate {rate:g}: relative error {err:.3g}"
+
+
 def test_fim_1d_matches_definitional_product():
     rng = np.random.default_rng(12)
-    params = OuParams(1.3)
     design = random_design(rng, 6)
-    assert np.allclose(
-        fim_1d(params, design), fim_definitional_1d(params, design), rtol=1e-9
-    )
+    gap = np.min(np.diff(design.as_array()))
+    for rate in RATES:
+        params = OuParams(rate)
+        assert_near_dense(fim_1d(params, design), fim_definitional_1d(params, design),
+                          rate * gap, rate)
 
 
 def test_fim_1d_two_point_explicit():
@@ -138,9 +149,12 @@ def test_fim_2d_symmetric_model_has_equal_axis_triples():
 
 def test_fim_2d_matches_definitional_product():
     rng = np.random.default_rng(14)
-    params = SheetParams(0.9, 1.8)
     g = GridDesign2D(random_design(rng, 4), random_design(rng, 3))
-    assert np.allclose(fim_2d(params, g), fim_definitional_2d(params, g), rtol=1e-8)
+    gaps = [np.min(np.diff(axis.as_array())) for axis in (g.s, g.t)]
+    for rate in RATES:
+        params = SheetParams(rate, 2.0 * rate)
+        x = min(rate * gaps[0], 2.0 * rate * gaps[1])
+        assert_near_dense(fim_2d(params, g), fim_definitional_2d(params, g), x, rate)
 
 
 def test_fim_2d_2x2_grid_definitional():

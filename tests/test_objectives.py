@@ -8,7 +8,6 @@ from oudesign import (
     SheetParams,
     SingularFimError,
     ValidationError,
-    condition_from_surrogate,
     d_objective_1d,
     d_objective_2d,
     eigen3_closed,
@@ -19,10 +18,9 @@ from oudesign import (
     fim_entries_2d,
     k_objective_1d,
     k_objective_2d,
-    r_objective_1d,
 )
 from oudesign import GridDesign2D
-from helpers import random_design, random_grid, random_pd_matrix
+from helpers import k_60_digits, k_from_r, random_design, random_grid, random_pd_matrix
 
 
 def test_d_objective_two_point_det_oracle():
@@ -57,33 +55,30 @@ def test_d_objective_three_point_display():
     assert d_objective_1d(entries) == pytest.approx(display, rel=1e-12)
 
 
-def test_r_objective_equality_case():
-    assert r_objective_1d(FimEntries1D(2.0, 0.0, 2.0)) == pytest.approx(4.0)
-
-
 def test_r_objective_two_point_display():
-    # ((d^2+2) e^{bd} - 2)^2 / (d^2 (e^{2bd} - 1))
+    # the paper's r = ((d^2+2) e^{bd} - 2)^2 / (d^2 (e^{2bd} - 1))
     beta, d = 0.7, 1.3
     e = fim_entries_1d(OuParams(beta), Design1D((0.0, d)))
     display = ((d * d + 2) * np.exp(beta * d) - 2) ** 2 / (
         d * d * (np.exp(2 * beta * d) - 1)
     )
-    assert r_objective_1d(e) == pytest.approx(display, rel=1e-12)
+    assert k_objective_1d(e) == pytest.approx(k_from_r(display), rel=1e-12)
 
 
 def test_r_objective_three_point_boundary_limit():
-    # limit of the three-point surrogate at the collapsing boundary
+    # the paper's r of the three-point design at the collapsing boundary
     beta = 1.7
-    limit = (3 * np.exp(beta) - 2) ** 2 / (np.exp(2 * beta) - 1)
-    two_point = r_objective_1d(fim_entries_1d(OuParams(beta), Design1D((0.0, 1.0))))
+    limit = k_from_r((3 * np.exp(beta) - 2) ** 2 / (np.exp(2 * beta) - 1))
+    two_point = k_objective_1d(fim_entries_1d(OuParams(beta), Design1D((0.0, 1.0))))
     assert two_point == pytest.approx(limit, rel=1e-12)
-    near = r_objective_1d(fim_entries_1d(OuParams(beta), Design1D((0.0, 1e-7, 1.0))))
+    near = k_objective_1d(fim_entries_1d(OuParams(beta), Design1D((0.0, 1e-7, 1.0))))
     assert near == pytest.approx(limit, rel=1e-5)
 
 
 def test_r_objective_singular_guard():
+    # a singular matrix has no finite condition number
     with pytest.raises(SingularFimError):
-        r_objective_1d(FimEntries1D(1.0, 1.0, 1.0))
+        k_objective_1d(FimEntries1D(1.0, 1.0, 1.0))
 
 
 def test_k_objective_has_no_absolute_det_floor():
@@ -98,17 +93,6 @@ def test_k_objective_identity_like():
     assert k_objective_1d(FimEntries1D(1.0, 0.0, 1.0)) == pytest.approx(1.0)
 
 
-def test_k_equals_g_of_r_random_designs():
-    rng = np.random.default_rng(20)
-    for _ in range(100):
-        params = OuParams(rng.uniform(0.05, 10.0))
-        design = random_design(rng, rng.integers(2, 12))
-        e = fim_entries_1d(params, design)
-        r = r_objective_1d(e)
-        assert r >= 4.0
-        assert k_objective_1d(e) == pytest.approx(condition_from_surrogate(r), rel=1e-12)
-
-
 def test_k_objective_1d_matches_eigensolver():
     rng = np.random.default_rng(21)
     for _ in range(200):
@@ -117,12 +101,6 @@ def test_k_objective_1d_matches_eigensolver():
         e = fim_entries_1d(params, design)
         w = np.linalg.eigvalsh(e.matrix())
         assert k_objective_1d(e) == pytest.approx(w[-1] / w[0], rel=1e-9)
-
-
-def test_condition_from_surrogate_validation():
-    with pytest.raises(ValidationError):
-        condition_from_surrogate(3.0)
-    assert condition_from_surrogate(4.0) == pytest.approx(1.0)
 
 
 def test_eigen3_identity_branch():
@@ -236,10 +214,10 @@ def test_d_objective_2d_matches_determinant():
 
 def test_evaluate_design_consistency():
     ev = evaluate_design_1d(OuParams(1.0), Design1D((0.0, 0.4, 1.0)))
-    assert ev.k_value == pytest.approx(condition_from_surrogate(ev.r_value), rel=1e-12)
+    assert ev.k_value == pytest.approx(k_objective_1d(ev.entries), rel=1e-12)
+    assert ev.d_value == pytest.approx(d_objective_1d(ev.entries), rel=1e-12)
     assert ev.d_value > 0
     ev2 = evaluate_design_2d(SheetParams(1.0, 2.0), GridDesign2D((0.0, 1.0), (0.0, 1.0)))
-    assert ev2.r_value is None
     assert ev2.k_value >= 1.0
     assert ev2.d_value > 0
 
@@ -260,20 +238,12 @@ def test_d_value_is_shift_invariant(offset):
     assert got_2d == pytest.approx(expected_2d, rel=1e-12)
 
 
-@pytest.mark.parametrize("offset", [0.0, 1e3, 1e5, 1e7])
-def test_k_and_r_values_keep_their_digits_off_the_origin(offset):
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e5, 1e7, 3e7, 1e8, 1e10])
+def test_k_value_keeps_its_digits_off_the_origin(offset):
     # 60-digit H C^{-1} H^T of the same float points; far from the origin
-    # l1*l3 - l2^2 of the raw entries cancels, the shifted one does not
+    # l1*l3 - l2^2 of the raw entries cancels, the shifted one does not,
+    # and the singularity check follows the shifted entries
     mpmath = pytest.importorskip("mpmath")
     design = Design1D((offset, offset + 0.3, offset + 1.0))
-    with mpmath.workdps(60):
-        s = [mpmath.mpf(p) for p in design.points]
-        corr = mpmath.matrix([[mpmath.exp(-abs(a - b)) for b in s] for a in s])
-        basis = mpmath.matrix([[1] * len(s), s])
-        fim = basis * mpmath.inverse(corr) * basis.T
-        trace, det = fim[0, 0] + fim[1, 1], fim[0, 0] * fim[1, 1] - fim[0, 1] ** 2
-        lam_max = (trace + mpmath.sqrt(trace * trace - 4 * det)) / 2
-        k, r = float(lam_max * lam_max / det), float(trace * trace / det)
-    ev = evaluate_design_1d(OuParams(1.0), design)
-    assert ev.k_value == pytest.approx(k, rel=1e-12)
-    assert ev.r_value == pytest.approx(r, rel=1e-12)
+    k = k_60_digits(mpmath, 1.0, design.points)
+    assert evaluate_design_1d(OuParams(1.0), design).k_value == pytest.approx(k, rel=1e-12)

@@ -11,16 +11,15 @@ from oudesign import (
     ValidationError,
     collapse_equation,
     collapse_interval,
-    condition_from_surrogate,
     d_objective_1d,
     equidistant_d_monotone_check,
     equidistant_k_optimal_1d,
     fim_entries_equidistant_1d,
     four_point_grid_k_optimal,
+    k_objective_1d,
     kopt_curve_1d,
     kopt_surface_2d,
     nine_point_restricted_2d,
-    r_objective_1d,
     three_point_limit_objective,
     three_point_restricted_1d,
     two_point_k_optimal,
@@ -28,7 +27,7 @@ from oudesign import (
 from oudesign.fim import _equidistant_entries, _points_entries
 from oudesign.objectives import _cond3_from_entries
 from oudesign.search import TWO_POINT_MIN_RATE
-from helpers import TABLE1_CELLS
+from helpers import TABLE1_CELLS, k_60_digits, k_from_r
 
 # positive roots of the collapse equation, 4 decimals
 BETA_LOWER = 0.5718
@@ -44,8 +43,8 @@ def grid_cond(s_entries, t_entries):
     return _cond3_from_entries(FimEntries2D(s_entries, t_entries))[0]
 
 
-def three_point_surrogate(beta, d):
-    return r_objective_1d(unit_design_entries(beta, d))
+def three_point_k(beta, d):
+    return k_objective_1d(unit_design_entries(beta, d))
 
 
 def test_collapse_equation_roots_and_signs():
@@ -93,13 +92,13 @@ def test_collapse_interval_roots_to_the_last_bits():
 
 
 def test_boundary_slope_changes_sign_at_roots():
-    # one-sided finite-difference slope of the surrogate near d=0 flips
-    # sign exactly at the collapse-interval endpoints
+    # one-sided finite-difference slope of K near d=0 flips sign exactly
+    # at the collapse-interval endpoints
     ci = collapse_interval()
     d0, h = 1e-6, 1e-6
 
     def slope(beta):
-        return (three_point_surrogate(beta, d0 + h) - three_point_surrogate(beta, d0)) / h
+        return (three_point_k(beta, d0 + h) - three_point_k(beta, d0)) / h
 
     assert slope(ci.lower - 0.05) < 0  # interior minimum exists
     assert slope(ci.lower + 0.05) > 0  # boundary is the minimum
@@ -140,7 +139,7 @@ def test_three_point_k_collapses_inside_interval():
     # collapsed value equals the boundary limit
     beta = 2.0
     limit = (3 * np.exp(beta) - 2) ** 2 / (np.exp(2 * beta) - 1)
-    assert res.value == pytest.approx(condition_from_surrogate(limit), rel=1e-10)
+    assert res.value == pytest.approx(k_from_r(limit), rel=1e-10)
 
 
 def test_three_point_k_large_rate_small_interior_optimum():
@@ -160,45 +159,43 @@ def test_three_point_k_optimum_below_first_scan_step():
     res = three_point_restricted_1d(OuParams(1e7), "K")
     assert res.converged and not res.collapsed
     d = np.geomspace(1e-10, 0.5, 200_001)
-    k = condition_from_surrogate(three_point_surrogate(1e7, d))
+    k = three_point_k(1e7, d)
     assert res.argopt == pytest.approx(d[np.argmin(k)], rel=1e-3)
     assert res.value == pytest.approx(k.min(), rel=1e-9)
-    assert res.value < condition_from_surrogate(three_point_surrogate(1e7, 0.0))
+    assert res.value < three_point_k(1e7, 0.0)
 
 
 def test_three_point_limit_objective_shape():
-    # the large-rate limit of the surrogate has its infimum at d=0, value 8
+    # the large-rate limit of K is the paper's r = (d^2+4)^2/(2(d^2-d+1))
+    # in K form; its infimum is at d=0, value 3 + 2*sqrt(2) (r = 8)
     d = np.linspace(0.0, 1.0, 100_001)
     vals = three_point_limit_objective(d)
+    paper = k_from_r((d * d + 4.0) ** 2 / (2.0 * (d * d - d + 1.0)))
+    assert np.allclose(vals, paper, rtol=2e-15, atol=0.0)
     assert int(np.argmin(vals)) == 0
-    assert vals[0] == pytest.approx(8.0)
-    # pointwise convergence of the true surrogate to the limit
-    assert three_point_surrogate(2000.0, 0.5) == pytest.approx(
-        three_point_limit_objective(0.5), rel=1e-3
-    )
-    # the surrogate's minimum value approaches the limiting infimum from above
-    r100 = three_point_surrogate(100.0, three_point_restricted_1d(OuParams(100.0), "K").argopt)
-    r1000 = three_point_surrogate(1000.0, three_point_restricted_1d(OuParams(1000.0), "K").argopt)
-    assert r100 > r1000 > 8.0
+    assert vals[0] == pytest.approx(3.0 + 2.0 * math.sqrt(2.0), rel=1e-15)
+    # pointwise convergence of the true K to the limit
+    assert three_point_k(2000.0, 0.5) == pytest.approx(three_point_limit_objective(0.5), rel=1e-3)
+    # the minimum K approaches the limiting infimum from above
+    k100 = three_point_restricted_1d(OuParams(100.0), "K").value
+    k1000 = three_point_restricted_1d(OuParams(1000.0), "K").value
+    assert k100 > k1000 > vals[0]
 
 
 def test_three_point_k_matches_dense_scan():
     for beta in (0.3, 100.0):
         res = three_point_restricted_1d(OuParams(beta), "K")
         d = np.linspace(0.0, 1.0, 100_001)
-        vals = three_point_surrogate(beta, d)
+        vals = three_point_k(beta, d)
         assert res.argopt == pytest.approx(d[np.argmin(vals)], abs=1e-4)
         # dense scan cannot beat the refined value by more than tolerance
-        assert np.min(vals) >= three_point_surrogate(beta, res.argopt) - 1e-8
+        assert np.min(vals) >= res.value - 1e-8
 
 
 def test_three_point_first_order_condition():
     res = three_point_restricted_1d(OuParams(0.3), "K")
     h = 1e-4
-    grad = (
-        three_point_surrogate(0.3, res.argopt + h)
-        - three_point_surrogate(0.3, res.argopt - h)
-    ) / (2 * h)
+    grad = (three_point_k(0.3, res.argopt + h) - three_point_k(0.3, res.argopt - h)) / (2 * h)
     assert abs(grad) <= 1e-5 * (1.0 + abs(res.value))
 
 
@@ -258,7 +255,7 @@ def test_two_point_root_properties(beta):
     # residual of the raw equation, scaled by its largest term
     scale = max(abs(root * root - 2) * np.exp(3 * beta * root), 2.0)
     assert abs(raw_two_point_equation(beta, root)) <= 1e-9 * scale
-    # slope of the surrogate changes sign from - to + across the root
+    # slope of K changes sign from - to + across the root
     h = 1e-6 * max(1.0, root)
     assert raw_two_point_equation(beta, root - h) < 0
     assert raw_two_point_equation(beta, root + h) > 0
@@ -288,7 +285,7 @@ def test_two_point_root_across_rates(beta):
     # unvalidated entries: below rate ~7e-7 the root's scaled gap 2*rate^2
     # lies under the coincidence floor of fim_entries_equidistant_1d
     d = np.geomspace(1e-4 * min(1.0, beta), 10.0, 200_001)
-    k = condition_from_surrogate(r_objective_1d(_equidistant_entries(beta, d, 2)))
+    k = k_objective_1d(_equidistant_entries(beta, d, 2))
     assert res.argopt == pytest.approx(d[np.argmin(k)], rel=1e-3)
     assert k.min() >= res.value * (1.0 - 1e-12)
 
@@ -301,8 +298,8 @@ def test_two_point_root_matches_dense_scan(beta, frozen):
     res = two_point_k_optimal(OuParams(beta))
     assert res.argopt == pytest.approx(frozen, abs=1e-8)
     d = np.linspace(1e-4, 2.0, 200_001)
-    r = r_objective_1d(fim_entries_equidistant_1d(OuParams(beta), d, 2))
-    assert res.argopt == pytest.approx(d[np.argmin(r)], abs=1e-4)
+    k = k_objective_1d(fim_entries_equidistant_1d(OuParams(beta), d, 2))
+    assert res.argopt == pytest.approx(d[np.argmin(k)], abs=1e-4)
 
 
 
@@ -334,6 +331,29 @@ def test_two_point_rate_floor():
     for beta in (0.5 * TWO_POINT_MIN_RATE, 1e-80, 1e-160, 1e-200):
         with pytest.raises(ValidationError, match=f"{TWO_POINT_MIN_RATE:g}"):
             two_point_k_optimal(OuParams(beta))
+
+
+@pytest.mark.parametrize(
+    "search,rate,n",
+    [("two-point", 1e-20, 2), ("two-point", 1e-10, 2), ("two-point", 1e-6, 2),
+     ("equidistant", 1e-6, 10), ("equidistant", 1e-5, 3), ("equidistant", 1e-3, 30),
+     ("three-point", 30.0, 3)],
+)
+def test_k_searches_report_k_to_the_last_digits(search, rate, n):
+    # the reported K is the condition number at the reported design, to
+    # rounding, also where it is within 1e-20 of 1
+    mpmath = pytest.importorskip("mpmath")
+    if search == "three-point":
+        res = three_point_restricted_1d(OuParams(rate), "K")
+    elif search == "two-point":
+        res = two_point_k_optimal(OuParams(rate))
+    else:
+        res = equidistant_k_optimal_1d(OuParams(rate), n)
+    with mpmath.workdps(60):
+        d = mpmath.mpf(res.argopt)
+        points = [0, d, 1] if search == "three-point" else [i * d for i in range(n)]
+        exact = k_60_digits(mpmath, rate, points)
+    assert res.value == pytest.approx(exact, rel=1e-14, abs=0.0)
 
 
 # every search that takes a tolerance, called with it
@@ -372,21 +392,20 @@ def test_equidistant_k_n2_agrees_with_two_point():
 
 
 def test_equidistant_k_endpoint_divergence():
-    # the surrogate blows up for both vanishing and huge steps
+    # K blows up for both vanishing and huge steps
     params = OuParams(1.0)
     res = equidistant_k_optimal_1d(params, 5)
     for d_edge in (1e-4, 1e4):
-        r_edge = r_objective_1d(fim_entries_equidistant_1d(params, d_edge, 5))
-        assert condition_from_surrogate(r_edge) > 10.0 * res.value
+        assert k_objective_1d(fim_entries_equidistant_1d(params, d_edge, 5)) > 10.0 * res.value
 
 
 def test_equidistant_k_matches_dense_scan():
     params = OuParams(1.0)
     res = equidistant_k_optimal_1d(params, 5)
     d = np.geomspace(1e-2, 1e2, 400_001)
-    r = r_objective_1d(fim_entries_equidistant_1d(OuParams(1.0), d, 5))
-    assert res.argopt == pytest.approx(d[np.argmin(r)], rel=1e-4)
-    assert np.min(r) >= (res.value + 2.0 + 1.0 / res.value) - 1e-8
+    k = k_objective_1d(fim_entries_equidistant_1d(OuParams(1.0), d, 5))
+    assert res.argopt == pytest.approx(d[np.argmin(k)], rel=1e-4)
+    assert np.min(k) >= res.value - 1e-8
 
 
 def test_equidistant_k_small_rate_large_n():
@@ -405,9 +424,9 @@ def test_equidistant_k_small_rate_below_old_floor(n):
     assert res.converged
     assert res.argopt < 1e-11 / beta
     d = np.geomspace(1e-3 * beta / (n - 1), 1e2, 200_001)
-    r = r_objective_1d(_equidistant_entries(beta, d, n))
-    assert res.argopt == pytest.approx(d[np.argmin(r)], rel=1e-3)
-    assert condition_from_surrogate(np.min(r)) >= res.value * (1.0 - 1e-12)
+    k = k_objective_1d(_equidistant_entries(beta, d, n))
+    assert res.argopt == pytest.approx(d[np.argmin(k)], rel=1e-3)
+    assert np.min(k) >= res.value * (1.0 - 1e-12)
 
 
 def test_equidistant_d_monotone():
