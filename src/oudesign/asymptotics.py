@@ -23,7 +23,7 @@ import numpy as np
 from .exceptions import ValidationError
 from .fim import FimEntries2D, _check_equidistant_args, _equidistant_entries
 from .fim import fim_entries_equidistant_1d
-from .model import OuParams, SheetParams
+from .model import OuParams, SheetParams, _check_count
 from .objectives import (
     _cond3_from_entries,
     _require_positive_definite,
@@ -46,8 +46,10 @@ __all__ = [
 
 MODES_1D = ("infill", "domain")
 MODES_2D = ("infill-both", "infill-one", "domain-both", "domain-one")
-# Grid sizes n = m of the doubling sequence behind each limit-surface cell.
+# Grid sizes n = m of the doubling sequence behind each limit-surface cell,
+# and the error estimate up to which a cell counts as converged.
 SURFACE_N_SEQUENCE = (25, 50, 100, 200, 400)
+SURFACE_TOL = 1e-3
 
 
 def _check_rate(beta: float) -> float:
@@ -125,17 +127,11 @@ class DoublingReport:
     limit_cond: float | None
 
 
-def _check_n(name: str, n: int) -> int:
-    if int(n) != n or n < 2:
-        raise ValidationError(f"{name} must be an integer >= 2, got {n!r}")
-    return int(n)
-
-
 def doubling_ratio_1d(params: OuParams, n: int, mode: str) -> DoublingReport:
     """Criterion ratios for the equidistant partition {0, 1/n, ..., 1}
     against its refinement (infill) or its window-doubled extension
     {0, 1/n, ..., 2} (domain)."""
-    n = _check_n("n", n)
+    n = _check_count("n", n, 2)
     if mode not in MODES_1D:
         raise ValidationError(f"mode must be one of {MODES_1D}, got {mode!r}")
     base = fim_entries_equidistant_1d(params, 1.0 / n, n + 1)
@@ -167,8 +163,8 @@ def doubling_ratio_2d(params: SheetParams, n: int, m: int, mode: str) -> Doublin
     limits are closed-form in every mode; condition-number limits only in
     the infill modes (the domain ones are numeric, see
     :func:`cond_limit_surface_2d`)."""
-    n = _check_n("n", n)
-    m = _check_n("m", m)
+    n = _check_count("n", n, 2)
+    m = _check_count("m", m, 2)
     if mode not in MODES_2D:
         raise ValidationError(f"mode must be one of {MODES_2D}, got {mode!r}")
     if mode.startswith("infill"):
@@ -222,16 +218,14 @@ class CondLimitCell:
     converged: bool
 
 
-def cond_limit_surface_2d(
-    betas, gammas, mode: str = "both", tol: float = 1e-3
-) -> list[CondLimitCell]:
+def cond_limit_surface_2d(betas, gammas, mode: str = "both") -> list[CondLimitCell]:
     """Numeric limit surface of the condition-number doubling ratio.
 
     For each rate pair, the ratio is evaluated along the doubling
     sequence SURFACE_N_SEQUENCE (n = m) and Richardson-extrapolated assuming
     first-order convergence in 1/n; the error estimate is the difference
     of the last two extrapolants, and ``converged`` flags whether it
-    meets ``tol``.  ``mode`` "both" doubles the window in both coordinate
+    meets SURFACE_TOL.  ``mode`` "both" doubles the window in both coordinate
     directions, "one" only in the first.
     """
     if mode not in ("both", "one"):
@@ -246,7 +240,8 @@ def cond_limit_surface_2d(
     estimates = extrapolants[..., -1]
     errors = np.abs(estimates - extrapolants[..., -2])
     return [
-        CondLimitCell(b, g, float(estimates[i, j]), float(errors[i, j]), bool(errors[i, j] <= tol))
+        CondLimitCell(b, g, float(estimates[i, j]), float(errors[i, j]),
+                      bool(errors[i, j] <= SURFACE_TOL))
         for i, b in enumerate(betas)
         for j, g in enumerate(gammas)
     ]
@@ -261,7 +256,7 @@ def det_decomposition_factor(which: str, n: int, x: float) -> float:
     ratio F_n / F_3 used to reduce monotonicity for general n to the
     three-point case.  All are kept stable in p = exp(-x).
     """
-    n = _check_n("n", n)
+    n = _check_count("n", n, 2)
     x = float(x)
     if not (math.isfinite(x) and x > 0.0):
         raise ValidationError(f"x must be positive, got {x!r}")

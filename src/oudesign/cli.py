@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Every command computes through the library and writes a CSV (default) or
-JSON document whose header embeds the tool version, the command's parsed
-options as its spec (with the seed and the tolerances in play listed
-apart), so any output file can be reproduced exactly.  Numbers print
-with 12 significant digits.  Exit codes: 0 success, 2 validation error,
+JSON document whose header embeds the tool version (which fixes every
+search setting) and the command's parsed options as its spec (with the
+seed listed apart), so any output file can be reproduced exactly.
+Numbers print with 12 significant digits.  Exit codes: 0 success, 2 validation error,
 3 numerical error, mapped in one place (:class:`_Main`).
 """
 
@@ -44,19 +44,16 @@ def _json_value(value):
     return value
 
 
-def _emit(columns: list[str], rows: list[tuple], tolerances=(), **extra) -> None:
+def _emit(columns: list[str], rows: list[tuple], **extra) -> None:
     """Write the running command's document.  Its spec is the command path
-    and the parsed options, minus ``seed`` and the option names in
-    ``tolerances`` (listed apart), plus ``extra``."""
+    and the parsed options, minus ``seed`` (listed apart), plus ``extra``."""
     ctx = click.get_current_context()
     params = {p.name: ctx.params[p.name] for p in ctx.command.params}
     command = ctx.command_path.removeprefix(ctx.find_root().command_path + " ")
-    spec = {k: v for k, v in params.items() if k != "seed" and k not in tolerances}
+    spec = {k: v for k, v in params.items() if k != "seed"}
     meta = {"tool": f"oudesign {__version__}", "spec": {"command": command, **spec, **extra}}
     if "seed" in params:
         meta["seed"] = params["seed"]
-    if tolerances:
-        meta["tolerances"] = {k: v for k, v in params.items() if k in tolerances}
     fmt = ctx.obj["format"]
     if fmt == "json":
         doc = {
@@ -190,7 +187,7 @@ def optimize_group():
     """Design searches under the D or K criterion."""
 
 
-def _emit_search(result, coords, tolerances):
+def _emit_search(result, coords):
     columns = [*coords, "value", "converged", "collapsed", "iterations", "boundary_margin"]
     argopt = result.argopt if isinstance(result.argopt, tuple) else (result.argopt,)
     row = (*argopt, result.value, result.converged, result.collapsed, result.iterations,
@@ -198,65 +195,49 @@ def _emit_search(result, coords, tolerances):
     if result.collapsed_axes is not None:
         columns += ["collapsed_s", "collapsed_t"]
         row += tuple(result.collapsed_axes)
-    _emit(columns, [row], tolerances)
+    _emit(columns, [row])
 
 
 @optimize_group.command("three-point")
 @click.option("--beta", type=float, required=True)
 @click.option("--criterion", type=click.Choice(["D", "K"], case_sensitive=False), required=True)
-@click.option("--grid-resolution", type=int, default=search.THREE_POINT_GRID_RESOLUTION,
-              show_default=True)
-@click.option("--refine-tol", type=float, default=search.THREE_POINT_REFINE_TOL,
-              show_default=True)
-def cmd_three_point(beta, criterion, grid_resolution, refine_tol):
+def cmd_three_point(beta, criterion):
     """Free point of the design {0, d, 1} on the unit interval."""
-    res = search.three_point_restricted_1d(
-        OuParams(beta), criterion, grid_resolution, refine_tol
-    )
-    _emit_search(res, ["d_opt"], ("grid_resolution", "refine_tol"))
+    _emit_search(search.three_point_restricted_1d(OuParams(beta), criterion), ["d_opt"])
 
 
 @optimize_group.command("nine-point")
 @click.option("--beta", type=float, required=True)
 @click.option("--gamma", type=float, required=True)
 @click.option("--criterion", type=click.Choice(["D", "K"], case_sensitive=False), required=True)
-@click.option("--grid-resolution", type=int, default=search.NINE_POINT_GRID_RESOLUTION,
-              show_default=True)
-@click.option("--refine-tol", type=float, default=search.NINE_POINT_REFINE_TOL,
-              show_default=True)
-def cmd_nine_point(beta, gamma, criterion, grid_resolution, refine_tol):
+def cmd_nine_point(beta, gamma, criterion):
     """Free coordinates of the grid {0, d, 1} x {0, delta, 1}."""
-    res = search.nine_point_restricted_2d(
-        SheetParams(beta, gamma), criterion, grid_resolution, refine_tol
-    )
-    _emit_search(res, ["d_opt", "delta_opt"], ("grid_resolution", "refine_tol"))
+    res = search.nine_point_restricted_2d(SheetParams(beta, gamma), criterion)
+    _emit_search(res, ["d_opt", "delta_opt"])
 
 
 @optimize_group.command("two-point")
 @click.option("--beta", type=float, required=True)
 def cmd_two_point(beta):
     """K-optimal spacing of the two-point design {0, d}."""
-    _emit_search(search.two_point_k_optimal(OuParams(beta)), ["d_opt"], ())
+    _emit_search(search.two_point_k_optimal(OuParams(beta)), ["d_opt"])
 
 
 @optimize_group.command("four-point")
 @click.option("--beta", type=float, required=True)
 @click.option("--gamma", type=float, required=True)
-@click.option("--tol", type=float, default=search.FOUR_POINT_TOL, show_default=True)
-def cmd_four_point(beta, gamma, tol):
+def cmd_four_point(beta, gamma):
     """K-optimal spacings of the 2x2 grid {0, d} x {0, delta}."""
-    res = search.four_point_grid_k_optimal(SheetParams(beta, gamma), tol)
-    _emit_search(res, ["d_opt", "delta_opt"], ("tol",))
+    res = search.four_point_grid_k_optimal(SheetParams(beta, gamma))
+    _emit_search(res, ["d_opt", "delta_opt"])
 
 
 @optimize_group.command("equidistant")
 @click.option("--beta", type=float, required=True)
 @click.option("--n", type=int, required=True)
-@click.option("--tol", type=float, default=search.EQUIDISTANT_TOL, show_default=True)
-def cmd_equidistant(beta, n, tol):
+def cmd_equidistant(beta, n):
     """K-optimal step size of the equidistant n-point design."""
-    res = search.equidistant_k_optimal_1d(OuParams(beta), n, tol)
-    _emit_search(res, ["d_opt"], ("tol",))
+    _emit_search(search.equidistant_k_optimal_1d(OuParams(beta), n), ["d_opt"])
 
 
 @main.group("asymptotics")
@@ -309,13 +290,12 @@ def cmd_double(model, beta, gamma, n, m, mode):
 @click.option("--param-min", type=float, default=0.05, show_default=True)
 @click.option("--param-max", type=float, default=50.0, show_default=True)
 @click.option("--grid-size", type=int, default=40, show_default=True)
-@click.option("--tol", type=float, default=1e-3, show_default=True)
-def cmd_surface(mode, param_min, param_max, grid_size, tol):
+def cmd_surface(mode, param_min, param_max, grid_size):
     """Numeric condition-number doubling-limit surface over a rate grid."""
     grid = _param_range(param_min, param_max, grid_size, log=True)
-    cells = asymptotics.cond_limit_surface_2d(grid, grid, mode=mode, tol=tol)
+    cells = asymptotics.cond_limit_surface_2d(grid, grid, mode=mode)
     rows = [(c.beta, c.gamma, c.estimate, c.error_estimate, c.converged) for c in cells]
-    _emit(["beta", "gamma", "estimate", "error_estimate", "converged"], rows, ("tol",))
+    _emit(["beta", "gamma", "estimate", "error_estimate", "converged"], rows)
 
 
 @asymptotics_group.command("kopt-curve")
@@ -413,9 +393,9 @@ def cmd_curve(interval, points, reps, seed, sigma):
     the collapse interval."""
     bounds = search.collapse_interval()
     if interval == "lower":
-        betas = np.linspace(0.02, bounds.lower - 0.01, points)
+        betas = _param_range(0.02, bounds.lower - 0.01, points, log=False)
     else:
-        betas = np.geomspace(bounds.upper + 0.05, 100.0, points)
+        betas = _param_range(bounds.upper + 0.05, 100.0, points, log=True)
     config = mc.McConfig(replicates=reps, seed=seed, sigma=sigma)
     rows = [
         (p.beta, p.mse_k, p.mse_d, p.eff_percent, p.mc_standard_error, p.collapsed)

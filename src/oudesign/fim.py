@@ -131,8 +131,8 @@ def _equidistant_entries(rate, d, n) -> FimEntries1D:
 
 def _check_equidistant_args(beta, d, n) -> None:
     """Validate rates, steps and point counts; each may be an array."""
-    n = np.asarray(n)
-    if np.any(n != np.floor(n)) or np.any(n < 2):
+    n = np.asarray(n, dtype=float)
+    if not np.all(np.isfinite(n) & (n == np.floor(n)) & (n >= 2)):
         raise ValidationError(f"n must be an integer >= 2, got {n!r}")
     d = np.asarray(d, dtype=float)
     if np.any(~np.isfinite(d)) or np.any(d <= 0.0):

@@ -35,6 +35,7 @@ from .model import (
     _apply_precision,
     _axes,
     _basis,
+    _check_count,
     _precision_bands,
     sample_observations,
 )
@@ -78,11 +79,8 @@ class McConfig:
     design_pair: tuple | None = None
 
     def __post_init__(self):
-        if int(self.replicates) != self.replicates or self.replicates < 1:
-            raise ValidationError(
-                f"replicates must be a positive integer, got {self.replicates!r}"
-            )
-        object.__setattr__(self, "replicates", int(self.replicates))
+        object.__setattr__(self, "replicates", _check_count("replicates", self.replicates, 1))
+        object.__setattr__(self, "seed", _check_count("seed", self.seed, 0))
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValidationError(f"sigma must be positive, got {self.sigma!r}")
 

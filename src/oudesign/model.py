@@ -50,6 +50,18 @@ def _require_positive(name: str, value: float) -> float:
     return value
 
 
+def _check_count(name: str, value, minimum: int) -> int:
+    """``value`` as an int, once it is a whole number (not nan, inf or a
+    fraction) of at least ``minimum``."""
+    try:
+        ok = int(value) == value and value >= minimum
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class OuParams:
     """Covariance parameters of the 1D driving process.
@@ -121,9 +133,7 @@ class Design1D:
     def equidistant(cls, step: float, n: int) -> "Design1D":
         """Design {0, step, ..., (n-1)*step}."""
         step = _require_positive("step", step)
-        if int(n) != n or n < 2:
-            raise ValidationError(f"n must be an integer >= 2, got {n!r}")
-        return cls(tuple(i * step for i in range(int(n))))
+        return cls(tuple(i * step for i in range(_check_count("n", n, 2))))
 
     @property
     def n(self) -> int:
@@ -374,9 +384,7 @@ def sample_observations(
 
     Returns an array of shape ``(count, n_points)``.
     """
-    if int(count) != count or count < 1:
-        raise ValidationError(f"count must be a positive integer, got {count!r}")
-    count = int(count)
+    count = _check_count("count", count, 1)
     axes = _axes(params, design)
     mean = trend.mean(design)
     rng = np.random.Generator(np.random.Philox(seed))

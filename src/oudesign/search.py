@@ -18,8 +18,9 @@ equation; :func:`collapse_interval` computes those roots.
 
 The four scanning searches share one routine (:func:`_refine`): a scan on
 the open mesh of one or two axes, then zooming grids around the scan's
-argmin.  Unit axes are linear on [0, 1]; gap axes are log d from a lower
-end that follows the rate, so tolerances are relative there.  A
+argmin, until the zoom is as fine as the search's fixed tolerance.  Unit
+axes are linear on [0, 1]; gap axes are log d from a lower end that
+follows the rate, so the tolerance is relative there.  A
 coordinate has collapsed when it refines to exactly 0 or 1: the zoom
 grids contain the clipped boundary and ties break toward it.  Its
 boundary margin is measured against the same design with the collapsed
@@ -31,14 +32,13 @@ bitwise exact.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import NumericalError, ValidationError
 from .fim import FimEntries1D, FimEntries2D, _equidistant_entries, _points_entries
-from .model import OuParams, SheetParams
+from .model import OuParams, SheetParams, _check_count
 from .objectives import _cond3_from_entries, d_objective_1d, k_objective_1d
 
 __all__ = [
@@ -66,10 +66,9 @@ COLLAPSE_EQUATION_MAX_RATE = 170.0  # exp(4*beta) overflows just beyond this
 TWO_POINT_MIN_RATE = 1e-75
 REFINE_POINTS = 17
 REFINE_SHRINK = 0.25
-MAX_REFINE_LEVELS = 80
 MAX_REFINE_PASSES = 3
 EDGE_GAIN_RTOL = 1e-12  # criterion rounding is ~1e-15 relative
-# Search defaults, shared by the library and the CLI.  The nine-point scan
+# Search settings, fixed for the library and the CLI.  The nine-point scan
 # only has to land in the optimum's basin (a 31-point scan misses the one
 # at rates (1e7, 1), 2.2e-7 relative); the refine sets the precision.
 THREE_POINT_GRID_RESOLUTION = 2001
@@ -92,6 +91,8 @@ class SearchResult:
     lists every refined local minimum when a scan finds several.
     ``iterations`` counts every criterion evaluation, scan included (for
     the two-point root, every evaluation of its spacing equation).
+    ``converged`` is False only for a four-point optimum pinned at a scan
+    window's end and an equidistant scan without an interior minimum.
     """
 
     argopt: float | tuple[float, float]
@@ -203,8 +204,8 @@ def _free_point_design(d):
 
 
 def _refine(f, axes, index, tol):
-    """Refine the scan point ``index`` within the axes' range; returns
-    (point, value, evaluations, converged).
+    """Refine the scan point ``index`` within the axes' range until every
+    half-width is at most ``tol``; returns (point, value, evaluations).
 
     A pass re-grids REFINE_POINTS per axis around the running argmin,
     starting from the scan spacing, and shrinks every half-width w by
@@ -219,10 +220,10 @@ def _refine(f, axes, index, tol):
     lo, hi = [float(a[0]) for a in axes], [float(a[-1]) for a in axes]
     w0 = [float(a[1] - a[0]) for a in axes]
     x = [float(a[i]) for a, i in zip(axes, index)]
-    best, value, evaluations, converged = tuple(x), math.inf, 0, False
+    best, value, evaluations = tuple(x), math.inf, 0
     for _ in range(MAX_REFINE_PASSES):
         w, edged = w0, False
-        for _ in range(MAX_REFINE_LEVELS):
+        while True:
             grids = [np.linspace(max(a, c - h), min(b, c + h), REFINE_POINTS)
                      for c, h, a, b in zip(x, w, lo, hi)]
             center = tuple(int(np.argmin(np.abs(g - c))) for g, c in zip(grids, x))
@@ -241,20 +242,20 @@ def _refine(f, axes, index, tol):
                 break
         if not values[k] < value:
             break
-        best, value, converged = tuple(x), float(values[k]), max(w) <= tol
+        best, value = tuple(x), float(values[k])
         if not edged:
             break
-    return best, value, evaluations, converged
+    return best, value, evaluations
 
 
 def _scan_refine(f, axes, tol):
     """Scan the open mesh of the axes, then refine its first row-major
     argmin (ties break toward the smallest coordinates); returns (point,
-    value, evaluations, converged)."""
+    value, evaluations)."""
     values = f(*np.ix_(*axes))
     index = np.unravel_index(int(np.argmin(values)), values.shape)
-    x, fx, evaluations, ok = _refine(f, axes, index, tol)
-    return x, fx, values.size + evaluations, ok
+    x, fx, evaluations = _refine(f, axes, index, tol)
+    return x, fx, values.size + evaluations
 
 
 def _checked_value(value, criterion, *rates):
@@ -276,15 +277,6 @@ def _log_axis(lo, hi, points, rate):
     return np.linspace(math.log(lo), math.log(hi), points)
 
 
-def _check_search_args(tol_name, tol, grid_resolution=3):
-    """A tolerance must be positive and finite, a scan an integer number
-    of points, at least 3."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValidationError(f"{tol_name} must be positive and finite, got {tol!r}")
-    if not (isinstance(grid_resolution, numbers.Integral) and grid_resolution >= 3):
-        raise ValidationError(f"grid_resolution must be an integer >= 3, got {grid_resolution!r}")
-
-
 def _collapse(f, point, value):
     """Per-coordinate collapse (refined exactly to 0 or 1), the boundary
     margin over the same design with each collapsed coordinate moved
@@ -297,12 +289,7 @@ def _collapse(f, point, value):
     return axes, (float(f(*inside)) - value) / abs(value), 1
 
 
-def three_point_restricted_1d(
-    params: OuParams,
-    criterion: str = "D",
-    grid_resolution: int = THREE_POINT_GRID_RESOLUTION,
-    refine_tol: float = THREE_POINT_REFINE_TOL,
-) -> SearchResult:
+def three_point_restricted_1d(params: OuParams, criterion: str = "D") -> SearchResult:
     """Optimal free point d of the design {0, d, 1} on [0, 1].
 
     Criterion "D" maximizes the determinant: the maximum sits at the
@@ -314,20 +301,19 @@ def three_point_restricted_1d(
     :func:`collapse_interval`.
     """
     crit = _check_criterion(criterion)
-    _check_search_args("refine_tol", refine_tol, grid_resolution)
     beta = params.beta
 
     def f(d):
         e = _points_entries(beta, _free_point_design(d))
         return -d_objective_1d(e) if crit == "D" else k_objective_1d(e)
 
-    axis = np.linspace(0.0, 1.0, grid_resolution)
-    (x,), fx, evaluations, ok = _scan_refine(f, (axis,), refine_tol)
+    axis = np.linspace(0.0, 1.0, THREE_POINT_GRID_RESOLUTION)
+    (x,), fx, evaluations = _scan_refine(f, (axis,), THREE_POINT_REFINE_TOL)
     (collapsed,), margin, extra = _collapse(f, (x,), fx)
     return SearchResult(
         argopt=x,
         value=_checked_value(-fx if crit == "D" else fx, crit, beta),
-        converged=ok,
+        converged=True,
         collapsed=collapsed,
         iterations=evaluations + extra,
         bracket=(0.0, 1.0),
@@ -396,21 +382,18 @@ def two_point_k_optimal(params: OuParams) -> SearchResult:
     )
 
 
-def equidistant_k_optimal_1d(
-    params: OuParams, n: int, tol: float = EQUIDISTANT_TOL
-) -> SearchResult:
+def equidistant_k_optimal_1d(params: OuParams, n: int) -> SearchResult:
     """Global condition-number-optimal step size of the equidistant
     n-point design, over d > 0.
 
     The condition number diverges for both vanishing and growing steps,
     so a global minimum exists.  A scan in log d locates every local
-    minimum; each is refined (to ``tol`` relative) and all of them are
-    reported (uniqueness is not assumed), the best one winning.
+    minimum; each is refined (to EQUIDISTANT_TOL relative) and all of
+    them are reported (uniqueness is not assumed), the best one winning.
+    With no interior minimum in the scan window the best scan point is
+    reported with ``converged=False``.
     """
-    if int(n) != n or n < 2:
-        raise ValidationError(f"n must be an integer >= 2, got {n!r}")
-    _check_search_args("tol", tol)
-    n = int(n)
+    n = _check_count("n", n, 2)
     beta = params.beta
 
     # At small rates the optimal step shrinks like rate/(n-1); the scan
@@ -426,23 +409,24 @@ def equidistant_k_optimal_1d(
     evaluations = k.size
     minima = []
     for i in interior:
-        (u,), fx, evals, ok = _refine(f, (axis,), (i,), tol)
+        (u,), fx, evals = _refine(f, (axis,), (i,), EQUIDISTANT_TOL)
         evaluations += evals
-        minima.append((math.exp(u), fx, ok))
-    if not minima:
+        minima.append((math.exp(u), fx))
+    converged = bool(minima)
+    if not converged:
         # No interior minimum in the scan window; fall back to the best
         # grid point so the failure is visible rather than silent.
         i = int(np.argmin(k))
-        minima.append((math.exp(axis[i]), float(k[i]), False))
+        minima.append((math.exp(axis[i]), float(k[i])))
     best = min(minima, key=lambda c: c[1])
     return SearchResult(
         argopt=best[0],
         value=_checked_value(best[1], "K", beta),
-        converged=best[2],
+        converged=converged,
         collapsed=False,
         iterations=evaluations,
         bracket=(lo, hi),
-        local_minima=tuple((x, v) for x, v, _ in minima),
+        local_minima=tuple(minima),
         boundary_margin=0.0,
     )
 
@@ -453,16 +437,11 @@ def equidistant_d_monotone_check(params: OuParams, n: int, d_grid) -> bool:
     d = np.asarray(sorted(float(x) for x in d_grid), dtype=float)
     if d.size < 2 or np.any(d <= 0.0):
         raise ValidationError("d_grid needs at least two positive step sizes")
-    det = d_objective_1d(_equidistant_entries(params.beta, d, int(n)))
+    det = d_objective_1d(_equidistant_entries(params.beta, d, _check_count("n", n, 2)))
     return bool(np.all(np.diff(det) > 0.0))
 
 
-def nine_point_restricted_2d(
-    params: SheetParams,
-    criterion: str = "D",
-    grid_resolution: int = NINE_POINT_GRID_RESOLUTION,
-    refine_tol: float = NINE_POINT_REFINE_TOL,
-) -> SearchResult:
+def nine_point_restricted_2d(params: SheetParams, criterion: str = "D") -> SearchResult:
     """Optimal free coordinates (d, delta) of the grid
     {0, d, 1} x {0, delta, 1} on the unit square.
 
@@ -473,9 +452,8 @@ def nine_point_restricted_2d(
     collapse per coordinate when a minimizing coordinate reaches {0, 1}.
     """
     crit = _check_criterion(criterion)
-    _check_search_args("refine_tol", refine_tol, grid_resolution)
     beta, gamma = params.beta, params.gamma
-    grid = np.linspace(0.0, 1.0, grid_resolution)
+    grid = np.linspace(0.0, 1.0, NINE_POINT_GRID_RESOLUTION)
 
     if crit == "D":
 
@@ -491,10 +469,10 @@ def nine_point_restricted_2d(
         def f2(d, dl):
             return -(fs(d) * ft(dl))
 
-        ((x,), fx, ex, okx), ((y,), fy, ey, oky) = (
-            _scan_refine(f, (grid,), refine_tol) for f in (fs, ft)
+        ((x,), fx, ex), ((y,), fy, ey) = (
+            _scan_refine(f, (grid,), NINE_POINT_REFINE_TOL) for f in (fs, ft)
         )
-        point, fxy, evaluations, ok = (x, y), -(fx * fy), ex + ey, okx and oky
+        point, fxy, evaluations = (x, y), -(fx * fy), ex + ey
     else:
 
         def f2(d, dl):
@@ -502,12 +480,12 @@ def nine_point_restricted_2d(
             t = _points_entries(gamma, _free_point_design(dl))
             return _cond3_from_entries(FimEntries2D(s, t))[0]
 
-        point, fxy, evaluations, ok = _scan_refine(f2, (grid, grid), refine_tol)
+        point, fxy, evaluations = _scan_refine(f2, (grid, grid), NINE_POINT_REFINE_TOL)
     collapsed_axes, margin, extra = _collapse(f2, point, fxy)
     return SearchResult(
         argopt=point,
         value=_checked_value(-fxy if crit == "D" else fxy, crit, beta, gamma),
-        converged=ok,
+        converged=True,
         collapsed=any(collapsed_axes),
         iterations=evaluations + extra,
         bracket=((0.0, 1.0), (0.0, 1.0)),
@@ -516,15 +494,14 @@ def nine_point_restricted_2d(
     )
 
 
-def four_point_grid_k_optimal(params: SheetParams, tol: float = FOUR_POINT_TOL) -> SearchResult:
+def four_point_grid_k_optimal(params: SheetParams) -> SearchResult:
     """Condition-number-optimal spacings (d, delta) of the 2x2 grid
     {0, d} x {0, delta} over the open quarter plane.
 
     Each axis is scanned in log d from min(1e-3, rate/10) up to 1e3 and
-    refined to ``tol`` relative; an optimum pinned at a scan window's
-    end reports ``converged=False``.
+    refined to FOUR_POINT_TOL relative; an optimum pinned at a scan
+    window's end reports ``converged=False``.
     """
-    _check_search_args("tol", tol)
     beta, gamma = params.beta, params.gamma
     windows = tuple((min(1e-3, 0.1 * rate), 1e3) for rate in (beta, gamma))
     axes = tuple(_log_axis(lo, hi, 241, rate) for (lo, hi), rate in zip(windows, (beta, gamma)))
@@ -533,12 +510,12 @@ def four_point_grid_k_optimal(params: SheetParams, tol: float = FOUR_POINT_TOL) 
         s, t = _equidistant_entries(beta, np.exp(u), 2), _equidistant_entries(gamma, np.exp(v), 2)
         return _cond3_from_entries(FimEntries2D(s, t))[0]
 
-    (u, v), value, evaluations, ok = _scan_refine(f2, axes, tol)
+    (u, v), value, evaluations = _scan_refine(f2, axes, FOUR_POINT_TOL)
     pinned = any(c in (a[0], a[-1]) for c, a in zip((u, v), axes))
     return SearchResult(
         argopt=(math.exp(u), math.exp(v)),
         value=_checked_value(value, "K", beta, gamma),
-        converged=ok and not pinned,
+        converged=not pinned,
         collapsed=False,
         iterations=evaluations,
         bracket=windows,

@@ -375,7 +375,7 @@ def test_criterion_10_property_suites():
     betas = np.arange(ci.lower - 0.05, ci.upper + 0.05 + 1e-9, 0.01)
     mismatches = 0
     for b in betas:
-        res = three_point_restricted_1d(OuParams(float(b)), "K", grid_resolution=1001)
+        res = three_point_restricted_1d(OuParams(float(b)), "K")
         inside = ci.lower <= b <= ci.upper
         if res.collapsed != inside and min(abs(b - ci.lower), abs(b - ci.upper)) > 0.011:
             mismatches += 1

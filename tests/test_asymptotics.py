@@ -17,7 +17,7 @@ from oudesign import (
     doubling_ratio_2d,
     fim_entries_equidistant_1d,
 )
-from oudesign.asymptotics import SURFACE_N_SEQUENCE
+from oudesign.asymptotics import SURFACE_N_SEQUENCE, SURFACE_TOL
 
 
 def test_limit_d_values():
@@ -161,14 +161,14 @@ def test_doubling_mode_validation():
 
 def test_cond_limit_surface_dependence_on_second_rate():
     # the one-direction limit depends on both rates, unlike the det one
-    cells = cond_limit_surface_2d([1.0], [1.0, 5.0], mode="one", tol=1e-3)
+    cells = cond_limit_surface_2d([1.0], [1.0, 5.0], mode="one")
     assert all(c.converged for c in cells)
     k11, k15 = cells[0].estimate, cells[1].estimate
     assert abs(k11 - k15) > 10.0 * max(c.error_estimate for c in cells)
 
 
 def test_cond_limit_surface_symmetry_and_corner():
-    cells = cond_limit_surface_2d([0.01, 2.0], [0.01, 2.0], mode="both", tol=1e-2)
+    cells = cond_limit_surface_2d([0.01, 2.0], [0.01, 2.0], mode="both")
     by_key = {(c.beta, c.gamma): c.estimate for c in cells}
     # exchange symmetry of the construction, bit for bit
     assert by_key[(0.01, 2.0)] == by_key[(2.0, 0.01)]
@@ -204,7 +204,7 @@ def test_cond_limit_surface_equals_its_transpose():
 
 def test_cond_limit_surface_interior_maximum():
     grid = np.geomspace(0.05, 50.0, 12)
-    cells = cond_limit_surface_2d(grid, grid, mode="both", tol=5e-2)
+    cells = cond_limit_surface_2d(grid, grid, mode="both")
     est = np.array([c.estimate for c in cells]).reshape(12, 12)
     i, j = np.unravel_index(np.argmax(est), est.shape)
     assert 0 < i < 11 and 0 < j < 11  # maximum away from the grid boundary
@@ -220,10 +220,11 @@ def test_cond_limit_surface_validation():
 
 
 def test_cond_limit_surface_flags_nonconvergence():
-    # an unreachable tolerance must be reported, not silently accepted
-    cells = cond_limit_surface_2d([1.0], [1.0], mode="both", tol=1e-15)
+    # a cell whose extrapolation error exceeds SURFACE_TOL is reported,
+    # not silently accepted (its error estimate is about 2.3e-3)
+    cells = cond_limit_surface_2d([316.2277660168379], [10.0], mode="one")
     assert not cells[0].converged
-    assert cells[0].error_estimate > 1e-15
+    assert cells[0].error_estimate > SURFACE_TOL
 
 
 def test_det_factor_three_point_closed_form():

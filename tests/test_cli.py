@@ -1,4 +1,3 @@
-import inspect
 import json
 import math
 from pathlib import Path
@@ -101,8 +100,7 @@ def test_optimize_two_point(runner):
 def test_optimize_nine_point(runner):
     out = run_ok(
         runner,
-        ["optimize", "nine-point", "--beta", "1", "--gamma", "2", "--criterion", "D",
-         "--grid-resolution", "101"],
+        ["optimize", "nine-point", "--beta", "1", "--gamma", "2", "--criterion", "D"],
     )
     header, rows = parse_csv(out)
     row = dict(zip(header, rows[0]))
@@ -110,26 +108,14 @@ def test_optimize_nine_point(runner):
     assert float(row["delta_opt"]) == pytest.approx(0.5, abs=1e-5)
 
 
-def api_defaults(fn, names=("grid_resolution", "refine_tol")):
-    """The search keywords' defaults in the function's own signature."""
-    params = inspect.signature(fn).parameters
-    return {name: params[name].default for name in names}
-
-
 def test_optimize_rows_report_boundary_margin_and_collapsed_axes(runner):
-    from oudesign import (
-        SheetParams,
-        equidistant_k_optimal_1d,
-        four_point_grid_k_optimal,
-        nine_point_restricted_2d,
-    )
+    from oudesign import SheetParams, nine_point_restricted_2d
 
     args = ["optimize", "nine-point", "--beta", "2", "--gamma", "2", "--criterion", "K"]
     doc = json.loads(run_ok(runner, ["--format", "json", *args]))
     row = dict(zip(doc["columns"], doc["rows"][0]))
     res = nine_point_restricted_2d(SheetParams(2.0, 2.0), "K")
-    # the CLI's defaults are the API's, bit for bit, and so is the optimum
-    assert doc["meta"]["tolerances"] == api_defaults(nine_point_restricted_2d)
+    # the CLI's optimum is the API's, bit for bit
     assert (row["d_opt"], row["delta_opt"]) == res.argopt == (0.0, 0.0)
     assert (row["collapsed_s"], row["collapsed_t"]) == res.collapsed_axes == (True, True)
     assert row["boundary_margin"] == pytest.approx(res.boundary_margin, rel=1e-11)
@@ -140,17 +126,11 @@ def test_optimize_rows_report_boundary_margin_and_collapsed_axes(runner):
     row = dict(zip(header, rows[0]))
     assert (row["collapsed_s"], row["collapsed_t"]) == ("false", "false")
     assert row["boundary_margin"] == "0"
-    doc = json.loads(run_ok(runner, ["--format", "json", *args]))
-    assert doc["meta"]["tolerances"] == api_defaults(four_point_grid_k_optimal, ("tol",))
-    args = ["optimize", "equidistant", "--beta", "1", "--n", "5"]
-    doc = json.loads(run_ok(runner, ["--format", "json", *args]))
-    assert doc["meta"]["tolerances"] == api_defaults(equidistant_k_optimal_1d, ("tol",))
     args = ["optimize", "three-point", "--beta", "0.3", "--criterion", "K"]
     header, rows = parse_csv(run_ok(runner, args))
     assert "boundary_margin" in header and "collapsed_s" not in header
     doc = json.loads(run_ok(runner, ["--format", "json", *args]))
     row = dict(zip(doc["columns"], doc["rows"][0]))
-    assert doc["meta"]["tolerances"] == api_defaults(three_point_restricted_1d)
     res = three_point_restricted_1d(OuParams(0.3), "K")
     assert row["d_opt"] == float(f"{res.argopt:.12g}")  # as the CLI prints it
 
@@ -306,7 +286,7 @@ def test_header_lists_the_parsed_options(runner, path):
     meta = json.loads(run_ok(runner, argv))["meta"]
     spec = dict(meta["spec"])
     assert spec.pop("command") == path
-    keys = [*spec, *meta.get("tolerances", {}), *(["seed"] if "seed" in meta else [])]
+    keys = [*spec, *(["seed"] if "seed" in meta else [])]
     expected = {param.name for param in leaf_commands()[path].params}
     if path == "simulate table1":
         expected |= {"small_block", "large_block"}  # the two rate blocks it simulates
@@ -319,6 +299,7 @@ SEARCH_TOLERANCE_ARGVS = [
     ["optimize", "nine-point", "--beta", "1", "--gamma", "2", "--criterion", "K", "--refine-tol"],
     ["optimize", "four-point", "--beta", "1", "--gamma", "2", "--tol"],
     ["optimize", "equidistant", "--beta", "1", "--n", "5", "--tol"],
+    ["asymptotics", "surface", "--mode", "both", "--grid-size", "2", "--tol"],
 ]
 
 
@@ -332,15 +313,27 @@ def run_error(runner, args, code):
     return result.stderr
 
 
+def run_unknown_option(runner, args):
+    """Run a command with an option it does not have: click's usage error,
+    exit code 2."""
+    result = runner.invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == 2, result.output
+    assert "No such option" in result.stderr and args[-2] in result.stderr
+
+
 @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
 @pytest.mark.parametrize("argv", SEARCH_TOLERANCE_ARGVS, ids=lambda argv: argv[1])
 def test_bad_search_tolerance_exits_2(runner, argv, tol):
-    run_error(runner, [*argv, tol], 2)
+    # the tolerances are fixed: every value is refused as an unknown option
+    run_unknown_option(runner, [*argv, tol])
 
 
 def test_bad_grid_resolution_exits_2(runner):
-    argv = ["optimize", "three-point", "--beta", "1", "--criterion", "K", "--grid-resolution", "2"]
-    assert "grid_resolution" in run_error(runner, argv, 2)
+    # so are the scan sizes, even a huge one that would not fit in memory
+    for argv in (["three-point", "--beta", "1"], ["nine-point", "--beta", "1", "--gamma", "2"]):
+        for resolution in ("2", "41", "100000000000"):
+            run_unknown_option(runner, ["optimize", *argv, "--criterion", "K",
+                                        "--grid-resolution", resolution])
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -348,10 +341,17 @@ def test_bad_grid_resolution_exits_2(runner):
       "--m", "0", "--mode", "infill-both"], "m must be"),
     (["asymptotics", "kopt-curve", "--family", "nine-point", "--beta-min", "1", "--beta-max", "2",
       "--gamma-min", "1", "--gamma-max", "2", "--points", "2", "--gamma-points", "0"], "two points"),
-], ids=["double-m", "kopt-curve-gamma-points"])
+    (["simulate", "curve", "--interval", "lower", "--points", "-1"], "two points"),
+    (["simulate", "curve", "--interval", "upper", "--points", "1"], "two points"),
+], ids=["double-m", "kopt-curve-gamma-points", "curve-lower-points", "curve-upper-points"])
 def test_zero_counts_are_rejected_not_defaulted(runner, argv, message):
     # an explicit 0 is bad input, not "use the other count"
     assert message in run_error(runner, argv, 2)
+
+
+def test_negative_seed_exits_2(runner):
+    argv = ["simulate", "eff", "--beta", "30", "--seed", "-1"]
+    assert "seed must be" in run_error(runner, argv, 2)
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,14 @@ from oudesign import (
     SheetParams,
     TrendParams,
     ValidationError,
+    McConfig,
     correlation_matrix_1d,
+    det_decomposition_factor,
+    doubling_ratio_1d,
+    doubling_ratio_2d,
+    equidistant_d_monotone_check,
+    equidistant_k_optimal_1d,
+    fim_entries_equidistant_1d,
     inv_correlation_matrix_1d,
     inv_correlation_matrix_2d,
     sample_observations,
@@ -224,6 +233,36 @@ def test_sampler_validation():
             1,
             seed=0,
         )
+
+
+# Every count argument, as a call of one value, with the least it accepts.
+COUNT_CALLS = {
+    "Design1D.equidistant n": (lambda v: Design1D.equidistant(0.5, v), 2),
+    "sample_observations count": (lambda v: sample_observations(
+        OuParams(1.0), Design1D((0.0, 1.0)), TrendParams(0.0, 0.0), v, seed=0), 1),
+    "McConfig replicates": (lambda v: McConfig(replicates=v), 1),
+    "McConfig seed": (lambda v: McConfig(seed=v), 0),
+    "fim_entries_equidistant_1d n": (
+        lambda v: fim_entries_equidistant_1d(OuParams(1.0), 0.5, v), 2),
+    "equidistant_k_optimal_1d n": (lambda v: equidistant_k_optimal_1d(OuParams(1.0), v), 2),
+    "equidistant_d_monotone_check n": (
+        lambda v: equidistant_d_monotone_check(OuParams(1.0), v, [0.1, 0.2]), 2),
+    "doubling_ratio_1d n": (lambda v: doubling_ratio_1d(OuParams(1.0), v, "infill"), 2),
+    "doubling_ratio_2d n": (
+        lambda v: doubling_ratio_2d(SheetParams(1.0, 2.0), v, 3, "infill-both"), 2),
+    "doubling_ratio_2d m": (
+        lambda v: doubling_ratio_2d(SheetParams(1.0, 2.0), 3, v, "infill-both"), 2),
+    "det_decomposition_factor n": (lambda v: det_decomposition_factor("J", v, 1.0), 2),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 2.5, "below"])
+@pytest.mark.parametrize("site", COUNT_CALLS)
+def test_counts_must_be_whole_numbers_at_least_their_minimum(site, bad):
+    call, minimum = COUNT_CALLS[site]
+    call(minimum)
+    with pytest.raises(ValidationError, match="must be an integer >= "):
+        call(minimum - 1 if bad == "below" else bad)
 
 
 def test_sampler_rejects_near_coincident_points():

@@ -11,6 +11,7 @@ from oudesign import (
     ValidationError,
     collapse_equation,
     collapse_interval,
+    cond_limit_surface_2d,
     d_objective_1d,
     equidistant_d_monotone_check,
     equidistant_k_optimal_1d,
@@ -26,7 +27,11 @@ from oudesign import (
 )
 from oudesign.fim import _equidistant_entries, _points_entries
 from oudesign.objectives import _cond3_from_entries
-from oudesign.search import TWO_POINT_MIN_RATE
+from oudesign.search import (
+    NINE_POINT_GRID_RESOLUTION,
+    THREE_POINT_GRID_RESOLUTION,
+    TWO_POINT_MIN_RATE,
+)
 from helpers import TABLE1_CELLS, k_60_digits, k_from_r
 
 # positive roots of the collapse equation, 4 decimals
@@ -356,19 +361,21 @@ def test_k_searches_report_k_to_the_last_digits(search, rate, n):
     assert res.value == pytest.approx(exact, rel=1e-14, abs=0.0)
 
 
-# every search that takes a tolerance, called with it
+# every search, and the limit surface, called with a tolerance argument
 TOLERANT_SEARCHES = {
     "three-point": lambda tol: three_point_restricted_1d(OuParams(1.0), "K", refine_tol=tol),
     "nine-point": lambda tol: nine_point_restricted_2d(SheetParams(1.0, 2.0), "K", refine_tol=tol),
     "four-point": lambda tol: four_point_grid_k_optimal(SheetParams(1.0, 2.0), tol),
     "equidistant": lambda tol: equidistant_k_optimal_1d(OuParams(1.0), 5, tol),
+    "surface": lambda tol: cond_limit_surface_2d([1.0], [1.0], "both", tol),
 }
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
 @pytest.mark.parametrize("search", TOLERANT_SEARCHES)
 def test_searches_reject_bad_tolerances(search, tol):
-    with pytest.raises(ValidationError, match="positive and finite"):
+    # the tolerances are module constants: no call sets one, bad or not
+    with pytest.raises(TypeError):
         TOLERANT_SEARCHES[search](tol)
 
 
@@ -378,7 +385,8 @@ def test_searches_reject_bad_tolerances(search, tol):
     [(three_point_restricted_1d, OuParams(1.0)), (nine_point_restricted_2d, SheetParams(1.0, 2.0))],
 )
 def test_searches_reject_bad_grid_resolution(search, params, resolution):
-    with pytest.raises(ValidationError, match="grid_resolution"):
+    # so are the scan sizes
+    with pytest.raises(TypeError):
         search(params, "K", resolution)
 
 def test_equidistant_k_n2_agrees_with_two_point():
@@ -475,15 +483,19 @@ def test_nine_point_k_collapse_region():
     assert res.collapsed_axes == (True, True)
 
 
-def test_nine_point_k_boundary_margin_does_not_depend_on_scan():
+def test_nine_point_k_boundary_margin_does_not_depend_on_scan(monkeypatch):
     # the margin compares with the design moved MARGIN_STEP inside, not
     # with the scan's best interior point; abs covers the rounding of a
     # relative difference of two criterion values (~1e-15 each)
     cells = [c for c in TABLE1_CELLS if nine_point_restricted_2d(SheetParams(*c), "K").collapsed]
     assert len(cells) == 20
-    for cell in cells + [(2.0, 2.0)]:
-        coarse, fine = (nine_point_restricted_2d(SheetParams(*cell), "K", grid_resolution=n)
-                        for n in (41, 201))
+
+    def searches(resolution):
+        monkeypatch.setattr("oudesign.search.NINE_POINT_GRID_RESOLUTION", resolution)
+        return [nine_point_restricted_2d(SheetParams(*c), "K") for c in cells + [(2.0, 2.0)]]
+
+    assert NINE_POINT_GRID_RESOLUTION == 41
+    for coarse, fine in zip(searches(41), searches(201)):
         assert coarse.collapsed_axes == fine.collapsed_axes
         assert coarse.boundary_margin == pytest.approx(fine.boundary_margin, rel=1e-6, abs=1e-14)
 
@@ -568,9 +580,12 @@ def test_four_point_small_rate_converges(beta):
 
 
 def test_iterations_count_scan_and_refinement():
-    assert three_point_restricted_1d(OuParams(0.3), "K").iterations > 2001
-    assert nine_point_restricted_2d(SheetParams(10.0, 20.0), "K").iterations > 41**2
-    assert nine_point_restricted_2d(SheetParams(1.0, 2.0), "D").iterations > 2 * 201
+    assert three_point_restricted_1d(OuParams(0.3), "K").iterations > THREE_POINT_GRID_RESOLUTION
+    assert (nine_point_restricted_2d(SheetParams(10.0, 20.0), "K").iterations
+            > NINE_POINT_GRID_RESOLUTION**2)
+    # D scans and refines each axis on its own
+    assert (nine_point_restricted_2d(SheetParams(1.0, 2.0), "D").iterations
+            > 2 * NINE_POINT_GRID_RESOLUTION)
     assert four_point_grid_k_optimal(SheetParams(0.2, 0.3)).iterations > 241**2
     assert equidistant_k_optimal_1d(OuParams(1.0), 5).iterations > 2001
     assert two_point_k_optimal(OuParams(1.0)).iterations > 2
