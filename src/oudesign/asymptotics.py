@@ -23,14 +23,8 @@ import numpy as np
 from .exceptions import ValidationError
 from .fim import FimEntries2D, _check_equidistant_args, _equidistant_entries
 from .fim import fim_entries_equidistant_1d
-from .model import OuParams, SheetParams, _check_count
-from .objectives import (
-    _cond3_from_entries,
-    _require_positive_definite,
-    d_objective_1d,
-    d_objective_2d,
-    k_objective_1d,
-)
+from .model import OuParams, SheetParams, _check_count, _require_positive
+from .objectives import d_objective_1d, d_objective_2d, k_objective_1d, k_objective_2d
 
 __all__ = [
     "DoublingReport",
@@ -52,19 +46,12 @@ SURFACE_N_SEQUENCE = (25, 50, 100, 200, 400)
 SURFACE_TOL = 1e-3
 
 
-def _check_rate(beta: float) -> float:
-    b = float(beta)
-    if not (math.isfinite(b) and b > 0.0):
-        raise ValidationError(f"rate must be positive, got {beta!r}")
-    return b
-
-
 def _rate_pair(beta: float) -> tuple[float, float]:
     """(b, 1) divided by max(1, b).  The closed forms below are ratios of
     homogeneous polynomials in this pair, so they are evaluated as written
     for rates up to 1 and normalized by their leading power of b above,
     where b**4 would overflow from about 1e77."""
-    b = _check_rate(beta)
+    b = _require_positive("rate", beta)
     s = max(1.0, b)
     return b / s, 1.0 / s
 
@@ -197,7 +184,7 @@ def _grid_doubling_ratios(beta, gamma, n, m, mode):
             _equidistant_entries(beta, s_step, s_points),
             _equidistant_entries(gamma, t_step, t_points),
         )
-        return d_objective_2d(entries), _require_positive_definite(*_cond3_from_entries(entries))
+        return d_objective_2d(entries), k_objective_2d(entries)
 
     h = 0.5 if mode.startswith("infill") else 1.0
     t_other = (h / m, 2 * m + 1) if mode.endswith("both") else (1.0 / m, m + 1)
@@ -230,8 +217,8 @@ def cond_limit_surface_2d(betas, gammas, mode: str = "both") -> list[CondLimitCe
     """
     if mode not in ("both", "one"):
         raise ValidationError(f"mode must be 'both' or 'one', got {mode!r}")
-    betas = [_check_rate(b) for b in betas]
-    gammas = [_check_rate(g) for g in gammas]
+    betas = [_require_positive("rate", b) for b in betas]
+    gammas = [_require_positive("rate", g) for g in gammas]
     ks = np.array(SURFACE_N_SEQUENCE)
     _, ratios = _grid_doubling_ratios(
         np.array(betas)[:, None, None], np.array(gammas)[None, :, None], ks, ks, "domain-" + mode
@@ -257,9 +244,7 @@ def det_decomposition_factor(which: str, n: int, x: float) -> float:
     three-point case.  All are kept stable in p = exp(-x).
     """
     n = _check_count("n", n, 2)
-    x = float(x)
-    if not (math.isfinite(x) and x > 0.0):
-        raise ValidationError(f"x must be positive, got {x!r}")
+    x = _require_positive("x", x)
     p = math.exp(-x)
     one_minus_p = -math.expm1(-x)
     a = n * (n + 1) / 12.0

@@ -4,8 +4,9 @@ Every command computes through the library and writes a CSV (default) or
 JSON document whose header embeds the tool version (which fixes every
 search setting) and the command's parsed options as its spec (with the
 seed listed apart), so any output file can be reproduced exactly.
-Numbers print with 12 significant digits.  Exit codes: 0 success, 2 validation error,
-3 numerical error, mapped in one place (:class:`_Main`).
+Numbers print with 12 significant digits.  Exit codes: 0 success, 2 validation error
+(an input too large for memory included), 3 numerical error, mapped in one place
+(:class:`_Main`).
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def _report_error(ctx, exc, code):
             err=True,
         )
     else:
-        click.echo(f"error: {exc}", err=True)
+        click.echo(f"error: {str(exc) or type(exc).__name__}", err=True)
     sys.exit(code)
 
 
@@ -120,14 +121,14 @@ def _param_range(lo: float, hi: float, points: int, log: bool) -> np.ndarray:
 
 class _Main(click.Group):
     """The root command: the one place where the library's two error
-    families become exit codes, with numpy's floating-point warnings
-    silenced."""
+    families, and running out of memory, become exit codes, with numpy's
+    floating-point warnings silenced."""
 
     def invoke(self, ctx):
         try:
             with np.errstate(all="ignore"):  # failures surface as the errors below
                 return super().invoke(ctx)
-        except ValidationError as exc:
+        except (ValidationError, MemoryError) as exc:  # memory: an oversized count or grid
             _report_error(ctx, exc, 2)
         except NumericalError as exc:
             _report_error(ctx, exc, 3)

@@ -42,11 +42,9 @@ __all__ = [
     "fim_entries_1d",
     "fim_entries_equidistant_1d",
     "fim_1d",
-    "fim_equidistant_1d",
     "fim_entries_2d",
     "fim_entries_equidistant_2d",
     "fim_2d",
-    "fim_equidistant_2d",
 ]
 
 
@@ -161,10 +159,6 @@ def fim_1d(params: OuParams, design: Design1D) -> np.ndarray:
     return fim_entries_1d(params, design).matrix()
 
 
-def fim_equidistant_1d(params: OuParams, d: float, n: int) -> np.ndarray:
-    return fim_entries_equidistant_1d(params, d, n).matrix()
-
-
 def fim_entries_2d(params: SheetParams, design: GridDesign2D) -> FimEntries2D:
     """Per-axis entry triples for a grid design."""
     return FimEntries2D(
@@ -186,9 +180,3 @@ def fim_entries_equidistant_2d(
 def fim_2d(params: SheetParams, design: GridDesign2D) -> np.ndarray:
     """3x3 information matrix on (alpha0, alpha1, alpha2)."""
     return fim_entries_2d(params, design).matrix()
-
-
-def fim_equidistant_2d(
-    params: SheetParams, d: float, delta: float, n: int, m: int
-) -> np.ndarray:
-    return fim_entries_equidistant_2d(params, d, delta, n, m).matrix()

@@ -37,6 +37,7 @@ from .model import (
     _basis,
     _check_count,
     _precision_bands,
+    _require_positive,
     sample_observations,
 )
 from .search import (
@@ -81,8 +82,7 @@ class McConfig:
     def __post_init__(self):
         object.__setattr__(self, "replicates", _check_count("replicates", self.replicates, 1))
         object.__setattr__(self, "seed", _check_count("seed", self.seed, 0))
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValidationError(f"sigma must be positive, got {self.sigma!r}")
+        object.__setattr__(self, "sigma", _require_positive("sigma", self.sigma))
 
 
 @dataclass(frozen=True)
@@ -194,12 +194,7 @@ def run_efficiency_1d(params: OuParams, config: McConfig) -> EffReport:
                 f"rate {params.beta:g} lies inside the collapse interval "
                 f"[{interval.lower:.4f}, {interval.upper:.4f}]"
             )
-        k_res = three_point_restricted_1d(params, "K")
-        if k_res.collapsed:
-            raise CollapsedDesignError(
-                f"K-optimal three-point design collapsed at rate {params.beta:g}"
-            )
-        k_design = Design1D((0.0, k_res.argopt, 1.0))
+        k_design = Design1D((0.0, three_point_restricted_1d(params, "K").argopt, 1.0))
         d_design = Design1D((0.0, 0.5, 1.0))
     return _efficiency(params, k_design, d_design, config)
 

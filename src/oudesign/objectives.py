@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import NumericalError, SingularFimError, ValidationError
+from .exceptions import NumericalError, SingularFimError
 from .fim import (
     FimEntries1D,
     FimEntries2D,
@@ -31,10 +31,8 @@ from .model import Design1D, GridDesign2D, OuParams, SheetParams
 
 __all__ = [
     "ObjectiveEval",
-    "Eigen3Closed",
     "d_objective_1d",
     "k_objective_1d",
-    "eigen3_closed",
     "k_objective_2d",
     "d_objective_2d",
     "evaluate_design_1d",
@@ -61,20 +59,6 @@ class ObjectiveEval:
     d_value: float
     k_value: float
     entries: FimEntries1D | FimEntries2D
-
-
-@dataclass(frozen=True)
-class Eigen3Closed:
-    """Closed-form eigenvalues of a symmetric 3x3 matrix.
-
-    ``rho`` is the normalized cubic invariant in [-1, 1], ``phi`` the
-    third of its arccos, and ``eigenvalues`` the three roots sorted in
-    descending order.
-    """
-
-    rho: float
-    phi: float
-    eigenvalues: tuple[float, float, float]
 
 
 def d_objective_1d(entries: FimEntries1D) -> float:
@@ -110,33 +94,25 @@ def k_objective_1d(entries: FimEntries1D, det=None) -> float:
     return 0.25 * top * top / det
 
 
-def _det3_symmetric(a: np.ndarray) -> float:
-    return float(
-        a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[1, 2])
-        - a[0, 1] * (a[0, 1] * a[2, 2] - a[1, 2] * a[0, 2])
-        + a[0, 2] * (a[0, 1] * a[1, 2] - a[1, 1] * a[0, 2])
-    )
-
-
 def _eigen3_from_invariants(trace, trace_sq, det):
     """Eigenvalues from (tr A, tr A^2, det A); array-capable.
 
-    Returns (rho, phi, lam_max, lam_mid, lam_min).  lam_mid and lam_min
-    are the roots of t^2 - (tr - lam_max)*t + det/lam_max, the smaller as
-    product over larger, so it keeps its digits at large condition
-    numbers.  Identity multiples give rho, phi their limits 1, 0.
+    Returns (lam_max, lam_mid, lam_min).  lam_mid and lam_min are the
+    roots of t^2 - (tr - lam_max)*t + det/lam_max, the smaller as product
+    over larger, so it keeps its digits at large condition numbers.
     """
-    rho, phi, lam_max = _largest_eigen3(trace, trace_sq, det)
+    lam_max = _largest_eigen3(trace, trace_sq, det)
     rest = trace - lam_max
     prod = det / np.where(lam_max == 0.0, 1.0, lam_max)  # det is 0 where lam_max is
     root = np.sqrt(np.maximum(rest * rest - 4.0 * prod, 0.0))
     big = 0.5 * (rest + np.copysign(root, rest))
     small = prod / np.where(big == 0.0, 1.0, big)
-    return rho, phi, lam_max, np.maximum(big, small), np.minimum(big, small)
+    return lam_max, np.maximum(big, small), np.minimum(big, small)
 
 
 def _largest_eigen3(trace, trace_sq, det):
-    """(rho, phi, lam_max) from the trigonometric formula."""
+    """lam_max from the trigonometric formula; identity multiples take the
+    limit of its normalized cubic invariant rho, 1."""
     trace = np.asarray(trace, dtype=float)
     trace_sq = np.asarray(trace_sq, dtype=float)
     det = np.asarray(det, dtype=float)
@@ -152,48 +128,16 @@ def _largest_eigen3(trace, trace_sq, det):
     rho = np.where(degenerate, 1.0, rho)
     phi = np.arccos(rho) / 3.0
     amp = np.sqrt(2.0 * np.where(degenerate, 0.0, disc))
-    return rho, phi, (trace + amp * np.cos(phi)) / 3.0
-
-
-def _invariants3(matrix: np.ndarray):
-    """(tr A, tr A^2, det A) of a symmetric 3x3 matrix, after validation."""
-    a = np.asarray(matrix, dtype=float)
-    if a.shape != (3, 3):
-        raise ValidationError(f"expected a 3x3 matrix, got shape {a.shape}")
-    scale = np.max(np.abs(a))
-    if np.max(np.abs(a - a.T)) > 1e-8 * max(scale, 1.0):
-        raise ValidationError("matrix is not symmetric")
-    return float(np.trace(a)), float(np.sum(a * a)), _det3_symmetric(a)
-
-
-def eigen3_closed(matrix: np.ndarray) -> Eigen3Closed:
-    """Eigenvalues of a symmetric 3x3 matrix in closed form."""
-    rho, phi, lam_max, lam_mid, lam_min = _eigen3_from_invariants(*_invariants3(matrix))
-    return Eigen3Closed(
-        rho=float(rho),
-        phi=float(phi),
-        eigenvalues=(float(lam_max), float(lam_mid), float(lam_min)),
-    )
-
-
-def _cond3_from_invariants(trace, trace_sq, det):
-    """Array-capable condition number from matrix invariants.
-
-    No positivity checks; callers own validation.  Invalid (non-PD)
-    inputs produce non-positive smallest eigenvalues, which
-    :func:`_require_positive_definite` turns into errors.
-    """
-    _, _, lam_max, _, lam_min = _eigen3_from_invariants(trace, trace_sq, det)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return lam_max / lam_min, lam_min
+    return (trace + amp * np.cos(phi)) / 3.0
 
 
 def _cond3_from_entries(entries: FimEntries2D):
     """Condition number of the grid matrix straight from its axis
     entries, batched over broadcastable entry arrays.
 
-    Returns (cond, lam_min).  Sums are grouped so that swapping the two
-    axes reproduces every value bit for bit.
+    Returns (cond, lam_min), with no positivity check: the searches scan
+    with it, and :func:`k_objective_2d` validates it.  Sums are grouped
+    so that swapping the two axes reproduces every value bit for bit.
     """
     s, t = entries.s_entries, entries.t_entries
     a = s.l1 * t.l1
@@ -204,23 +148,22 @@ def _cond3_from_entries(entries: FimEntries2D):
     o3 = s.l2 * t.l2
     trace = a + (b + c)
     trace_sq = a * a + (b * b + c * c) + 2.0 * ((o1 * o1 + o2 * o2) + o3 * o3)
-    return _cond3_from_invariants(trace, trace_sq, d_objective_2d(entries))
+    lam_max, _, lam_min = _eigen3_from_invariants(trace, trace_sq, d_objective_2d(entries))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return lam_max / lam_min, lam_min
 
 
-def _require_positive_definite(cond, lam_min):
-    """The condition number, once every smallest eigenvalue is positive."""
+def k_objective_2d(entries: FimEntries2D) -> float:
+    """Condition number of the assembled 3x3 grid information matrix, the
+    value a K-optimal grid design minimizes, from the two axes' entries;
+    batched like :func:`d_objective_2d`.  Raises :class:`NumericalError`
+    where a smallest eigenvalue is not positive."""
+    cond, lam_min = _cond3_from_entries(entries)
     if not np.all(lam_min > 0.0):
         raise NumericalError(
             f"matrix is not positive definite (smallest eigenvalue {np.min(lam_min):g})"
         )
     return cond
-
-
-def k_objective_2d(fim: np.ndarray) -> float:
-    """Condition number of a positive definite symmetric 3x3 matrix,
-    the value a K-optimal grid design minimizes."""
-    cond, lam_min = _cond3_from_invariants(*_invariants3(fim))
-    return float(_require_positive_definite(cond, lam_min))
 
 
 def d_objective_2d(entries: FimEntries2D) -> float:
@@ -257,6 +200,6 @@ def evaluate_design_2d(params: SheetParams, design: GridDesign2D) -> ObjectiveEv
     )
     return ObjectiveEval(
         d_value=float(d_objective_2d(shifted)),
-        k_value=float(_require_positive_definite(*_cond3_from_entries(entries))),
+        k_value=float(k_objective_2d(entries)),
         entries=entries,
     )

@@ -14,7 +14,8 @@ A search "collapses" when the criterion's infimum is attained on the
 boundary of the design space, i.e. observation points merge.  For the
 three-point family this happens exactly when the covariance rate lies
 between the two positive roots of an explicit exponential-polynomial
-equation; :func:`collapse_interval` computes those roots.
+equation; :func:`collapse_interval` computes those roots, and the
+three-point K search takes its flag from them.
 
 The four scanning searches share one routine (:func:`_refine`): a scan on
 the open mesh of one or two axes, then zooming grids around the scan's
@@ -31,6 +32,7 @@ bitwise exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,7 +40,7 @@ import numpy as np
 
 from .exceptions import NumericalError, ValidationError
 from .fim import FimEntries1D, FimEntries2D, _equidistant_entries, _points_entries
-from .model import OuParams, SheetParams, _check_count
+from .model import OuParams, SheetParams, _check_count, _require_positive
 from .objectives import _cond3_from_entries, d_objective_1d, k_objective_1d
 
 __all__ = [
@@ -134,9 +136,7 @@ def collapse_equation(beta: float) -> float:
     whether shrinking the free point of the three-point design toward the
     boundary decreases the condition number.
     """
-    b = float(beta)
-    if not (0.0 < b):
-        raise ValidationError(f"rate must be positive, got {beta!r}")
+    b = _require_positive("rate", beta)
     if b > COLLAPSE_EQUATION_MAX_RATE:
         raise ValidationError(
             f"rate {b:g} overflows exp(4*beta); both roots lie far below"
@@ -156,9 +156,10 @@ def collapse_equation(beta: float) -> float:
     )
 
 
+@functools.cache
 def collapse_interval() -> CollapseInterval:
     """Both positive roots of :func:`collapse_equation`, bisected to the
-    last bit.
+    last bit once per process.
 
     The lower root sits in (0.01, 1), the upper in (1, 10); bracket
     failure would signal a transcription bug in the equation itself.
@@ -296,9 +297,10 @@ def three_point_restricted_1d(params: OuParams, criterion: str = "D") -> SearchR
     center d = 1/2 for rates up to ~7.1566 and then splits into two
     mirror-symmetric interior maxima that migrate toward the ends (the
     uncorrelated-limit behavior).  Criterion "K" minimizes the condition
-    number and flags collapse when the infimum is attained at d in
-    {0, 1}, which happens exactly for rates inside
-    :func:`collapse_interval`.
+    number; its infimum is attained at d in {0, 1} exactly for rates
+    inside :func:`collapse_interval`, so there the paper's collapse
+    equation decides and the merged design {0, 1} (argopt 0) is reported
+    without a scan.
     """
     crit = _check_criterion(criterion)
     beta = params.beta
@@ -307,8 +309,11 @@ def three_point_restricted_1d(params: OuParams, criterion: str = "D") -> SearchR
         e = _points_entries(beta, _free_point_design(d))
         return -d_objective_1d(e) if crit == "D" else k_objective_1d(e)
 
-    axis = np.linspace(0.0, 1.0, THREE_POINT_GRID_RESOLUTION)
-    (x,), fx, evaluations = _scan_refine(f, (axis,), THREE_POINT_REFINE_TOL)
+    if crit == "K" and collapse_interval().contains(beta):
+        x, fx, evaluations = 0.0, float(f(0.0)), 1
+    else:
+        axis = np.linspace(0.0, 1.0, THREE_POINT_GRID_RESOLUTION)
+        (x,), fx, evaluations = _scan_refine(f, (axis,), THREE_POINT_REFINE_TOL)
     (collapsed,), margin, extra = _collapse(f, (x,), fx)
     return SearchResult(
         argopt=x,

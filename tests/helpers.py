@@ -4,6 +4,7 @@ import numpy as np
 
 from oudesign import Design1D, GridDesign2D
 from oudesign.cli import TABLE1_LARGE, TABLE1_SMALL
+from oudesign.objectives import _eigen3_from_invariants
 
 # the 50 (beta, gamma) cells of the paper's Table 1
 TABLE1_CELLS = tuple((b, g) for block in (TABLE1_SMALL, TABLE1_LARGE) for b in block for g in block)
@@ -34,6 +35,19 @@ def random_pd_matrix(rng, size, cond_range=(1.0, 1e4), min_rel_gap=0.0):
         lam = lo * np.exp(np.sort(rng.uniform(0.0, np.log(spread), size)))
         if np.min(np.diff(lam)) >= min_rel_gap * lam[-1]:
             return (q * lam) @ q.T
+
+
+def eigen3_closed(a):
+    """Closed-form eigenvalues (lam_max, lam_mid, lam_min) of a symmetric
+    3x3 matrix, from the invariants (tr A, tr A^2, det A) taken here."""
+    return _eigen3_from_invariants(np.trace(a), np.sum(a * a), np.linalg.det(a))
+
+
+def cond3_closed(a):
+    """Closed-form condition number of a symmetric positive definite 3x3
+    matrix."""
+    lam_max, _, lam_min = eigen3_closed(a)
+    return lam_max / lam_min
 
 
 def k_from_r(r):

@@ -21,6 +21,7 @@ import pytest
 from oudesign import (
     Design1D,
     FimEntries1D,
+    FimEntries2D,
     GridDesign2D,
     McConfig,
     OuParams,
@@ -38,6 +39,7 @@ from oudesign import (
     fim_1d,
     fim_2d,
     fim_entries_1d,
+    fim_entries_2d,
     fim_entries_equidistant_1d,
     fim_entries_equidistant_2d,
     gls_estimate,
@@ -50,7 +52,7 @@ from oudesign import (
     two_point_k_optimal,
 )
 from oudesign._reference import fim_definitional_1d, fim_definitional_2d
-from helpers import random_design, random_grid, random_pd_matrix
+from helpers import cond3_closed, random_design, random_grid, random_pd_matrix
 
 SEED = 7
 
@@ -165,7 +167,7 @@ def test_criterion_4_condition_number_oracle():
     for _ in range(1000):
         a = random_pd_matrix(rng, 3, min_rel_gap=1e-3)
         w = np.linalg.eigvalsh(a)
-        worst3 = max(worst3, abs(k_objective_2d(a) - w[-1] / w[0]) / (w[-1] / w[0]))
+        worst3 = max(worst3, abs(cond3_closed(a) - w[-1] / w[0]) / (w[-1] / w[0]))
     elapsed = time.perf_counter() - t0
     checks = [
         (f"1000 PD 2x2, worst rel err {worst2:.3e}", worst2 <= 1e-9),
@@ -364,10 +366,12 @@ def test_criterion_10_property_suites():
     for _ in range(30):
         p2 = SheetParams(rng.uniform(0.05, 10.0), rng.uniform(0.05, 10.0))
         d, dl = rng.uniform(0.05, 0.95, 2)
-        m = fim_2d(p2, GridDesign2D((0.0, d, 1.0), (0.0, dl, 1.0)))
-        k = k_objective_2d(m)
+        e = fim_entries_2d(p2, GridDesign2D((0.0, d, 1.0), (0.0, dl, 1.0)))
+        k = k_objective_2d(e)
+        s = e.s_entries
         for c in (1e-6, 3.0, 1e7):
-            ok_scale &= abs(k_objective_2d(c * m) - k) <= 1e-12 * k
+            scaled = FimEntries2D(FimEntries1D(c * s.l1, c * s.l2, c * s.l3), e.t_entries)
+            ok_scale &= abs(k_objective_2d(scaled) - k) <= 1e-12 * k
     checks.append(("condition number scale-invariant to 1e-12 on design FIMs", ok_scale))
 
     # collapse dichotomy across the swept rate interval

@@ -6,7 +6,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
-from oudesign import OuParams, Design1D, fim_entries_1d, three_point_restricted_1d
+from oudesign import OuParams, Design1D, asymptotics, fim_entries_1d, three_point_restricted_1d
 from oudesign.cli import main
 
 
@@ -352,6 +352,21 @@ def test_zero_counts_are_rejected_not_defaulted(runner, argv, message):
 def test_negative_seed_exits_2(runner):
     argv = ["simulate", "eff", "--beta", "30", "--seed", "-1"]
     assert "seed must be" in run_error(runner, argv, 2)
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 373. GiB for an array"), "error: Unable to allocate 373."),
+    (MemoryError(), "error: MemoryError"),
+], ids=["numpy-message", "bare"])
+def test_out_of_memory_exits_2(runner, monkeypatch, exc, message):
+    # an oversized count ends in one error line, not a traceback; the
+    # library call is replaced, so the test allocates nothing large
+    def oversized(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(asymptotics, "cond_limit_surface_2d", oversized)
+    argv = ["asymptotics", "surface", "--mode", "both", "--grid-size", "100000"]
+    assert run_error(runner, argv, 2).startswith(message)
 
 
 @pytest.mark.parametrize("argv", [

@@ -13,7 +13,6 @@ from oudesign import (
     fim_entries_2d,
     fim_entries_equidistant_1d,
     fim_entries_equidistant_2d,
-    fim_equidistant_2d,
 )
 from oudesign._reference import fim_definitional_1d, fim_definitional_2d
 from helpers import random_design
@@ -182,7 +181,7 @@ def test_fim_2d_top_left_entry_is_product_of_l1s():
 
 def test_fim_equidistant_2d_matches_general_grid():
     params = SheetParams(0.2, 0.3)
-    eq = fim_equidistant_2d(params, 1.0, 1.0, 3, 3)
+    eq = fim_entries_equidistant_2d(params, 1.0, 1.0, 3, 3).matrix()
     gen = fim_2d(params, GridDesign2D(Design1D.equidistant(1.0, 3), Design1D.equidistant(1.0, 3)))
     assert np.allclose(eq, gen, rtol=1e-12)
 

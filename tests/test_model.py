@@ -12,8 +12,11 @@ from oudesign import (
     TrendParams,
     ValidationError,
     McConfig,
+    collapse_equation,
+    cond_limit_surface_2d,
     correlation_matrix_1d,
     det_decomposition_factor,
+    domain_doubling_limit_d,
     doubling_ratio_1d,
     doubling_ratio_2d,
     equidistant_d_monotone_check,
@@ -263,6 +266,26 @@ def test_counts_must_be_whole_numbers_at_least_their_minimum(site, bad):
     call(minimum)
     with pytest.raises(ValidationError, match="must be an integer >= "):
         call(minimum - 1 if bad == "below" else bad)
+
+
+# Every positive real checked outside the parameter types, as a call of
+# one value, with the name its message gives.
+POSITIVE_CALLS = {
+    "domain_doubling_limit_d rate": (lambda v: domain_doubling_limit_d(v), "rate"),
+    "cond_limit_surface_2d rate": (lambda v: cond_limit_surface_2d([1.0], [v]), "rate"),
+    "det_decomposition_factor x": (lambda v: det_decomposition_factor("J", 3, v), "x"),
+    "McConfig sigma": (lambda v: McConfig(sigma=v), "sigma"),
+    "collapse_equation rate": (lambda v: collapse_equation(v), "rate"),
+}
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("site", POSITIVE_CALLS)
+def test_positive_reals_share_one_check(site, bad):
+    call, name = POSITIVE_CALLS[site]
+    call(1.0)
+    with pytest.raises(ValidationError, match=f"^{name} must be a positive finite real"):
+        call(bad)
 
 
 def test_sampler_rejects_near_coincident_points():

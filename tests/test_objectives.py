@@ -4,13 +4,13 @@ import pytest
 from oudesign import (
     Design1D,
     FimEntries1D,
+    FimEntries2D,
+    NumericalError,
     OuParams,
     SheetParams,
     SingularFimError,
-    ValidationError,
     d_objective_1d,
     d_objective_2d,
-    eigen3_closed,
     evaluate_design_1d,
     evaluate_design_2d,
     fim_2d,
@@ -20,7 +20,15 @@ from oudesign import (
     k_objective_2d,
 )
 from oudesign import GridDesign2D
-from helpers import k_60_digits, k_from_r, random_design, random_grid, random_pd_matrix
+from helpers import (
+    cond3_closed,
+    eigen3_closed,
+    k_60_digits,
+    k_from_r,
+    random_design,
+    random_grid,
+    random_pd_matrix,
+)
 
 
 def test_d_objective_two_point_det_oracle():
@@ -104,15 +112,14 @@ def test_k_objective_1d_matches_eigensolver():
 
 
 def test_eigen3_identity_branch():
-    res = eigen3_closed(np.eye(3))
-    assert res.eigenvalues == pytest.approx((1.0, 1.0, 1.0))
-    assert k_objective_2d(np.eye(3)) == pytest.approx(1.0)
-    assert k_objective_2d(7.3 * np.eye(3)) == pytest.approx(1.0)
+    assert eigen3_closed(np.eye(3)) == pytest.approx((1.0, 1.0, 1.0))
+    unit = FimEntries1D(1.0, 0.0, 1.0)
+    assert k_objective_2d(FimEntries2D(unit, unit)) == pytest.approx(1.0)
+    assert k_objective_2d(FimEntries2D(FimEntries1D(7.3, 0.0, 7.3), unit)) == pytest.approx(1.0)
 
 
 def test_eigen3_diagonal():
-    res = eigen3_closed(np.diag([3.0, 2.0, 1.0]))
-    assert res.eigenvalues == pytest.approx((3.0, 2.0, 1.0), rel=1e-12)
+    assert eigen3_closed(np.diag([3.0, 2.0, 1.0])) == pytest.approx((3.0, 2.0, 1.0), rel=1e-12)
 
 
 def test_eigen3_matches_eigensolver():
@@ -121,24 +128,21 @@ def test_eigen3_matches_eigensolver():
         a = random_pd_matrix(rng, 3)
         res = eigen3_closed(a)
         w = np.linalg.eigvalsh(a)[::-1]
-        assert np.allclose(res.eigenvalues, w, rtol=1e-10, atol=1e-12 * np.max(w))
-        assert 0.0 <= res.phi <= np.pi / 3 + 1e-12
-        assert -1.0 <= res.rho <= 1.0
-        prod = np.prod(res.eigenvalues)
+        assert np.allclose(res, w, rtol=1e-10, atol=1e-12 * np.max(w))
+        prod = np.prod(res)
         assert prod == pytest.approx(np.linalg.det(a), rel=1e-9)
 
 
-def test_eigen3_rejects_asymmetric():
-    with pytest.raises(ValidationError):
-        eigen3_closed(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
-
-
 def test_k_objective_2d_rejects_non_pd():
-    from oudesign import NumericalError
-
-    indefinite = np.diag([3.0, 1.0, -0.5])
+    # an indefinite s-axis triple makes the grid matrix indefinite
+    indefinite = FimEntries2D(FimEntries1D(1.0, 2.0, 1.0), FimEntries1D(1.0, 0.0, 1.0))
     with pytest.raises(NumericalError):
         k_objective_2d(indefinite)
+    with pytest.raises(NumericalError):  # one indefinite design in a batch
+        k_objective_2d(FimEntries2D(
+            FimEntries1D(np.array([1.0, 1.0]), np.array([0.0, 2.0]), np.array([1.0, 1.0])),
+            FimEntries1D(1.0, 0.0, 1.0),
+        ))
 
 
 def test_k_objective_2d_matches_eigensolver():
@@ -146,28 +150,52 @@ def test_k_objective_2d_matches_eigensolver():
     for _ in range(100):
         a = random_pd_matrix(rng, 3)
         w = np.linalg.eigvalsh(a)
-        assert k_objective_2d(a) == pytest.approx(w[-1] / w[0], rel=1e-9)
+        assert cond3_closed(a) == pytest.approx(w[-1] / w[0], rel=1e-9)
 
 
 def test_k_objective_2d_example_grid():
     params = SheetParams(1.0, 1.0)
     g = GridDesign2D((0.0, 0.5, 1.0), (0.0, 0.5, 1.0))
-    m = fim_2d(params, g)
-    w = np.linalg.eigvalsh(m)
-    assert k_objective_2d(m) == pytest.approx(w[-1] / w[0], rel=1e-10)
+    e = fim_entries_2d(params, g)
+    w = np.linalg.eigvalsh(fim_2d(params, g))
+    assert k_objective_2d(e) == pytest.approx(w[-1] / w[0], rel=1e-10)
+
+
+def test_k_objective_2d_takes_grid_entries_batched():
+    # matches the eigensolver on grid designs, and broadcasts over batched
+    # entries like d_objective_2d
+    rng = np.random.default_rng(27)
+    singles, ratios = [], []
+    for _ in range(25):
+        params = SheetParams(rng.uniform(0.05, 10.0), rng.uniform(0.05, 10.0))
+        e = fim_entries_2d(params, random_grid(rng, rng.integers(2, 6), rng.integers(2, 6)))
+        w = np.linalg.eigvalsh(e.matrix())
+        assert k_objective_2d(e) == pytest.approx(w[-1] / w[0], rel=1e-10)
+        singles.append(e)
+        ratios.append(k_objective_2d(e))
+    s = FimEntries1D(*(np.array([getattr(e.s_entries, f) for e in singles])[:, None]
+                       for f in ("l1", "l2", "l3")))
+    t = FimEntries1D(*(np.array([getattr(e.t_entries, f) for e in singles])[None, :]
+                       for f in ("l1", "l2", "l3")))
+    batched = k_objective_2d(FimEntries2D(s, t))
+    assert batched.shape == (25, 25)
+    assert np.array_equal(np.diag(batched), ratios)
 
 
 def test_k_objective_2d_scale_invariance_design_fims():
     # the 1e-12 drift bound holds on information matrices of actual grid
-    # designs, whose spectra have healthy gaps
+    # designs, whose spectra have healthy gaps; scaling one axis triple
+    # by c scales the grid matrix by c
     rng = np.random.default_rng(24)
     for _ in range(50):
         params = SheetParams(rng.uniform(0.05, 10.0), rng.uniform(0.05, 10.0))
         d, dl = rng.uniform(0.05, 0.95, 2)
-        a = fim_2d(params, GridDesign2D((0.0, d, 1.0), (0.0, dl, 1.0)))
-        k = k_objective_2d(a)
+        e = fim_entries_2d(params, GridDesign2D((0.0, d, 1.0), (0.0, dl, 1.0)))
+        k = k_objective_2d(e)
+        s = e.s_entries
         for c in (1e-6, 0.5, 3.0, 1e7):
-            assert k_objective_2d(c * a) == pytest.approx(k, rel=1e-12)
+            scaled = FimEntries2D(FimEntries1D(c * s.l1, c * s.l2, c * s.l3), e.t_entries)
+            assert k_objective_2d(scaled) == pytest.approx(k, rel=1e-12)
 
 
 def test_k_objective_2d_scale_invariance_general():
@@ -177,9 +205,9 @@ def test_k_objective_2d_scale_invariance_general():
     rng = np.random.default_rng(24)
     for _ in range(100):
         a = random_pd_matrix(rng, 3)
-        k = k_objective_2d(a)
+        k = cond3_closed(a)
         for c in (1e-6, 0.5, 3.0, 1e7):
-            assert k_objective_2d(c * a) == pytest.approx(k, rel=1e-8)
+            assert cond3_closed(c * a) == pytest.approx(k, rel=1e-8)
 
 
 def test_k_objective_1d_scale_invariance():

@@ -15,6 +15,7 @@ from oudesign import (
     d_objective_1d,
     equidistant_d_monotone_check,
     equidistant_k_optimal_1d,
+    fim_entries_1d,
     fim_entries_equidistant_1d,
     four_point_grid_k_optimal,
     k_objective_1d,
@@ -94,6 +95,25 @@ def test_collapse_interval_roots_to_the_last_bits():
         for got, bracket in ((ci.lower, (0.5, 0.6)), (ci.upper, (4.9, 5.0))):
             root = float(mpmath.findroot(equation, bracket, solver="anderson"))
             assert got == pytest.approx(root, rel=1e-13)
+
+
+def test_three_point_k_collapse_follows_the_collapse_equation():
+    # 41 rates in root*[0.999, 1.001] around each root: the flag is the
+    # interval's, and a collapsed design is the merged {0, 1} found in
+    # two evaluations (the design and the margin's point inside)
+    ci = collapse_interval()
+    for root in (ci.lower, ci.upper):
+        for beta in root * np.linspace(0.999, 1.001, 41):
+            res = three_point_restricted_1d(OuParams(beta), "K")
+            assert res.collapsed == ci.contains(beta), beta
+            if res.collapsed:
+                merged = fim_entries_1d(OuParams(beta), Design1D((0.0, 1.0)))
+                assert res.argopt == 0.0
+                assert res.value == pytest.approx(k_objective_1d(merged), rel=1e-14)
+                assert res.boundary_margin > 0.0
+                assert res.iterations == 2
+            else:
+                assert res.iterations > THREE_POINT_GRID_RESOLUTION
 
 
 def test_boundary_slope_changes_sign_at_roots():
