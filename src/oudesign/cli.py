@@ -109,6 +109,14 @@ def _parse_grid(text: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return _parse_points(parts[0]), _parse_points(parts[1])
 
 
+def _reject(where: str, **options) -> None:
+    """Raise for the first of ``options`` that was given: it does not
+    apply to ``where``, and the document's spec would record it."""
+    for name, value in options.items():
+        if value is not None:
+            raise ValidationError(f"--{name.replace('_', '-')} does not apply to {where}")
+
+
 def _param_range(lo: float, hi: float, points: int, log: bool) -> np.ndarray:
     if points < 2 or hi <= lo:
         raise ValidationError("parameter range needs hi > lo and at least two points")
@@ -160,6 +168,7 @@ def cmd_fim(model, beta, gamma, design, grid):
     """Information-matrix entries and matrix for a design."""
     rows = []
     if model == "process":
+        _reject("--model process", gamma=gamma, grid=grid)
         if design is None:
             raise ValidationError("--design is required for --model process")
         d = Design1D(_parse_points(design))
@@ -168,6 +177,7 @@ def cmd_fim(model, beta, gamma, design, grid):
         rows += [("entry", "l1", entries.l1), ("entry", "l2", entries.l2),
                  ("entry", "l3", entries.l3)]
     else:
+        _reject("--model sheet", design=design)
         if gamma is None or grid is None:
             raise ValidationError("--gamma and --grid are required for --model sheet")
         s_pts, t_pts = _parse_grid(grid)
@@ -271,6 +281,7 @@ def cmd_limits(beta):
 def cmd_double(model, beta, gamma, n, m, mode):
     """Criterion ratios for one doubled design."""
     if model == "process":
+        _reject("--model process", gamma=gamma, m=m)
         report = asymptotics.doubling_ratio_1d(OuParams(beta), n, mode)
     else:
         if gamma is None:
@@ -313,6 +324,8 @@ def cmd_kopt_curve(family, beta_min, beta_max, points, gamma_min, gamma_max,
     """K-optimal coordinates swept over the rate parameter(s)."""
     betas = _param_range(beta_min, beta_max, points, log)
     if family == "three-point":
+        _reject("--family three-point", gamma_min=gamma_min, gamma_max=gamma_max,
+                gamma_points=gamma_points)
         rows = [
             (r.beta, r.d_opt, r.k_value, r.collapsed)
             for r in search.kopt_curve_1d(betas)

@@ -28,11 +28,11 @@ import numpy as np
 
 from .exceptions import ValidationError
 from .model import (
-    MIN_SCALED_GAP,
     Design1D,
     GridDesign2D,
     OuParams,
     SheetParams,
+    _check_scaled_gaps,
     _scaled_gaps,
 )
 
@@ -135,10 +135,7 @@ def _check_equidistant_args(beta, d, n) -> None:
     d = np.asarray(d, dtype=float)
     if np.any(~np.isfinite(d)) or np.any(d <= 0.0):
         raise ValidationError("step size d must be positive and finite")
-    if np.any(beta * d < MIN_SCALED_GAP):
-        raise ValidationError(
-            f"scaled step beta*d below {MIN_SCALED_GAP:g} is numerically coincident"
-        )
+    _check_scaled_gaps(beta * d)
 
 
 def fim_entries_equidistant_1d(params: OuParams, d: float, n: int) -> FimEntries1D:
@@ -147,6 +144,7 @@ def fim_entries_equidistant_1d(params: OuParams, d: float, n: int) -> FimEntries
     Agrees with :func:`fim_entries_1d` on the explicit design; ``d`` may
     be an array for vectorized evaluation.
     """
+    d = np.asarray(d, dtype=float)
     _check_equidistant_args(params.beta, d, n)
     e = _equidistant_entries(params.beta, d, int(n))
     if np.ndim(d) == 0:

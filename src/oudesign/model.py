@@ -259,14 +259,19 @@ def _axes(params, design) -> tuple[tuple[float, Design1D], ...]:
     raise ValidationError(f"unsupported design type {type(design).__name__}")
 
 
-def _scaled_gaps(beta: float, design: Design1D) -> np.ndarray:
-    x = beta * np.diff(design.as_array())
+def _check_scaled_gaps(x):
+    """Scaled gaps or steps ``x`` (an array or a float), once none is
+    below ``MIN_SCALED_GAP``."""
     if np.any(x < MIN_SCALED_GAP):
         raise NearSingularDesignError(
             f"scaled gap beta*d below {MIN_SCALED_GAP:g}; design points are "
             "numerically coincident at this length-scale"
         )
     return x
+
+
+def _scaled_gaps(beta: float, design: Design1D) -> np.ndarray:
+    return _check_scaled_gaps(beta * np.diff(design.as_array()))
 
 
 def _gap_decay(beta: float, design: Design1D) -> tuple[np.ndarray, np.ndarray]:

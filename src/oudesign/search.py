@@ -39,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalError, ValidationError
-from .fim import FimEntries1D, FimEntries2D, _equidistant_entries, _points_entries
+from .fim import FimEntries1D, FimEntries2D, _check_equidistant_args, _equidistant_entries
+from .fim import _points_entries
 from .model import OuParams, SheetParams, _check_count, _require_positive
 from .objectives import _cond3_from_entries, d_objective_1d, k_objective_1d
 
@@ -89,12 +90,11 @@ class SearchResult:
     ``argopt`` is the optimizing coordinate (or coordinate pair),
     ``value`` the criterion value there.  ``collapsed`` marks boundary
     optima (merged observation points); for grid searches
-    ``collapsed_axes`` flags each coordinate separately.  ``local_minima``
-    lists every refined local minimum when a scan finds several.
+    ``collapsed_axes`` flags each coordinate separately.
     ``iterations`` counts every criterion evaluation, scan included (for
     the two-point root, every evaluation of its spacing equation).
-    ``converged`` is False only for a four-point optimum pinned at a scan
-    window's end and an equidistant scan without an interior minimum.
+    ``converged`` is False only for a four-point or equidistant optimum
+    pinned at its scan window's end.
     """
 
     argopt: float | tuple[float, float]
@@ -104,7 +104,6 @@ class SearchResult:
     iterations: int
     bracket: tuple
     collapsed_axes: tuple[bool, ...] | None = None
-    local_minima: tuple = ()
     # Relative criterion improvement of the boundary optimum over the same
     # design with every collapsed coordinate moved MARGIN_STEP inside; 0
     # for interior optima.  Collapse can be genuine yet numerically
@@ -392,11 +391,9 @@ def equidistant_k_optimal_1d(params: OuParams, n: int) -> SearchResult:
     n-point design, over d > 0.
 
     The condition number diverges for both vanishing and growing steps,
-    so a global minimum exists.  A scan in log d locates every local
-    minimum; each is refined (to EQUIDISTANT_TOL relative) and all of
-    them are reported (uniqueness is not assumed), the best one winning.
-    With no interior minimum in the scan window the best scan point is
-    reported with ``converged=False``.
+    so a global minimum exists.  A scan in log d is refined around its
+    argmin to EQUIDISTANT_TOL relative; an optimum pinned at the scan
+    window's end reports ``converged=False``.
     """
     n = _check_count("n", n, 2)
     beta = params.beta
@@ -409,29 +406,14 @@ def equidistant_k_optimal_1d(params: OuParams, n: int) -> SearchResult:
     def f(u):
         return k_objective_1d(_equidistant_entries(beta, np.exp(u), n))
 
-    k = f(axis)
-    interior = np.flatnonzero((k[1:-1] < k[:-2]) & (k[1:-1] <= k[2:])) + 1
-    evaluations = k.size
-    minima = []
-    for i in interior:
-        (u,), fx, evals = _refine(f, (axis,), (i,), EQUIDISTANT_TOL)
-        evaluations += evals
-        minima.append((math.exp(u), fx))
-    converged = bool(minima)
-    if not converged:
-        # No interior minimum in the scan window; fall back to the best
-        # grid point so the failure is visible rather than silent.
-        i = int(np.argmin(k))
-        minima.append((math.exp(axis[i]), float(k[i])))
-    best = min(minima, key=lambda c: c[1])
+    (u,), value, evaluations = _scan_refine(f, (axis,), EQUIDISTANT_TOL)
     return SearchResult(
-        argopt=best[0],
-        value=_checked_value(best[1], "K", beta),
-        converged=converged,
+        argopt=math.exp(u),
+        value=_checked_value(value, "K", beta),
+        converged=u not in (axis[0], axis[-1]),
         collapsed=False,
         iterations=evaluations,
         bracket=(lo, hi),
-        local_minima=tuple(minima),
         boundary_margin=0.0,
     )
 
@@ -439,10 +421,11 @@ def equidistant_k_optimal_1d(params: OuParams, n: int) -> SearchResult:
 def equidistant_d_monotone_check(params: OuParams, n: int, d_grid) -> bool:
     """True when the determinant criterion strictly increases along the
     given step-size grid (so no finite step is determinant-optimal)."""
-    d = np.asarray(sorted(float(x) for x in d_grid), dtype=float)
-    if d.size < 2 or np.any(d <= 0.0):
-        raise ValidationError("d_grid needs at least two positive step sizes")
-    det = d_objective_1d(_equidistant_entries(params.beta, d, _check_count("n", n, 2)))
+    d = np.sort(np.asarray(d_grid, dtype=float), axis=None)
+    if d.size < 2:
+        raise ValidationError("d_grid needs at least two step sizes")
+    _check_equidistant_args(params.beta, d, n)
+    det = d_objective_1d(_equidistant_entries(params.beta, d, int(n)))
     return bool(np.all(np.diff(det) > 0.0))
 
 

@@ -392,6 +392,38 @@ def test_vanishing_noise_exits_3(runner, extra):
     assert "simulated MSE" in run_error(runner, argv, 3)
 
 
+# An option given where it does not apply, by command: the argv and the
+# error's message.
+IGNORED_OPTIONS = {
+    "fim process --gamma": (["fim", "--model", "process", "--beta", "1", "--gamma", "2",
+                             "--design", "0,1"], "--gamma does not apply to --model process"),
+    "fim process --grid": (["fim", "--model", "process", "--beta", "1", "--design", "0,1",
+                            "--grid", "0,1x0,1"], "--grid does not apply to --model process"),
+    "fim sheet --design": (["fim", "--model", "sheet", "--beta", "1", "--gamma", "2", "--grid",
+                            "0,1x0,1", "--design", "0,1"], "--design does not apply to --model sheet"),
+    "double process --m": (["asymptotics", "double", "--beta", "1", "--n", "10", "--m", "5",
+                            "--mode", "infill"], "--m does not apply to --model process"),
+    "double process --gamma": (["asymptotics", "double", "--beta", "1", "--n", "10", "--gamma",
+                                "3", "--mode", "infill"], "--gamma does not apply to --model process"),
+    "kopt-curve three-point --gamma-points": (
+        ["asymptotics", "kopt-curve", "--family", "three-point", "--beta-min", "1", "--beta-max",
+         "2", "--points", "2", "--gamma-points", "3"],
+        "--gamma-points does not apply to --family three-point"),
+}
+
+
+@pytest.mark.parametrize("case", IGNORED_OPTIONS)
+def test_options_that_do_not_apply_exit_2(runner, case):
+    argv, message = IGNORED_OPTIONS[case]
+    assert run_error(runner, argv, 2) == f"error: {message}\n"
+
+
+def test_coincident_equidistant_steps_exit_3(runner):
+    message = run_error(runner, ["asymptotics", "double", "--beta", "1e-13", "--n", "2",
+                                 "--mode", "infill"], 3)
+    assert "numerically coincident" in message
+
+
 SWEEP_RATES = ["5e-324", "1e-300", "1e-160", "1e-20", "1e-14", "1e-12", "1", "1e100", "1e300",
                "1.7e308"]
 # Every optimize leaf, by name: its argv without --beta, and its criterion.

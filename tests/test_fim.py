@@ -195,6 +195,14 @@ def test_fim_equidistant_2d_m_block_two_point():
     )
 
 
+@pytest.mark.parametrize("steps", [[0.1, 0.2], (0.1, 0.2)], ids=["list", "tuple"])
+def test_equidistant_entries_take_a_sequence_of_steps(steps):
+    e = fim_entries_equidistant_1d(OuParams(1.0), steps, 3)
+    a = fim_entries_equidistant_1d(OuParams(1.0), np.array(steps), 3)
+    for got, want in ((e.l1, a.l1), (e.l2, a.l2), (e.l3, a.l3)):
+        assert np.array_equal(got, want)
+
+
 def test_equidistant_validation():
     with pytest.raises(ValidationError):
         fim_entries_equidistant_1d(OuParams(1.0), -0.5, 3)

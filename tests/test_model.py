@@ -21,7 +21,9 @@ from oudesign import (
     doubling_ratio_2d,
     equidistant_d_monotone_check,
     equidistant_k_optimal_1d,
+    fim_entries_1d,
     fim_entries_equidistant_1d,
+    gls_estimate,
     inv_correlation_matrix_1d,
     inv_correlation_matrix_2d,
     sample_observations,
@@ -286,6 +288,32 @@ def test_positive_reals_share_one_check(site, bad):
     call(1.0)
     with pytest.raises(ValidationError, match=f"^{name} must be a positive finite real"):
         call(bad)
+
+
+# Every site that applies the coincidence floor, as a call of one rate; at
+# rate 1e-13 each has a scaled gap or step below 1e-12.
+COINCIDENCE_CALLS = {
+    "fim_entries_1d": lambda v: fim_entries_1d(OuParams(v), Design1D((0.0, 0.5, 1.0))),
+    "fim_entries_equidistant_1d": lambda v: fim_entries_equidistant_1d(OuParams(v), 0.5, 3),
+    "sample_observations": lambda v: sample_observations(
+        OuParams(v), Design1D((0.0, 0.5, 1.0)), TrendParams(0.0, 0.0), 1, seed=0),
+    "gls_estimate": lambda v: gls_estimate(np.zeros(3), Design1D((0.0, 0.5, 1.0)), OuParams(v)),
+    "doubling_ratio_1d": lambda v: doubling_ratio_1d(OuParams(v), 2, "infill"),
+    "doubling_ratio_2d": lambda v: doubling_ratio_2d(SheetParams(1.0, v), 2, 2, "infill-both"),
+    "cond_limit_surface_2d": lambda v: cond_limit_surface_2d([1.0], [v]),
+    "equidistant_d_monotone_check": lambda v: equidistant_d_monotone_check(
+        OuParams(v), 3, [0.1, 0.2]),
+}
+
+
+@pytest.mark.parametrize("site", COINCIDENCE_CALLS)
+def test_coincident_points_and_steps_share_one_check(site):
+    call = COINCIDENCE_CALLS[site]
+    call(1.0)
+    message = (r"^scaled gap beta\*d below 1e-12; design points are numerically coincident "
+               "at this length-scale$")
+    with pytest.raises(NearSingularDesignError, match=message):
+        call(1e-13)
 
 
 def test_sampler_rejects_near_coincident_points():

@@ -1,5 +1,7 @@
 """The package surface: its exported names and the README quickstart."""
 
+import importlib
+import importlib.util
 import pathlib
 import re
 
@@ -8,6 +10,7 @@ from oudesign import CollapseInterval, SearchResult
 
 MODULES = ("model", "fim", "objectives", "search", "asymptotics", "mc", "exceptions")
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+TRACING = README.parent / "bench" / "tracing.py"
 
 
 def test_package_exports_exactly_the_modules_public_names():
@@ -36,3 +39,15 @@ def test_readme_quickstart_runs_and_its_claims_hold():
     assert isinstance(two_point, SearchResult)
     assert round(two_point.argopt, 4) == 0.1943
     assert 112.0 <= eff_percent <= 118.0
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    # the traced benchmark wraps these functions by module and name; a
+    # rename would otherwise only fail a traced benchmark run
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)  # imports only the standard library
+    for mod, names in tracing.LAYERS.items():
+        module = importlib.import_module(f"oudesign.{mod}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"oudesign.{mod}.{name}"

@@ -6,6 +6,7 @@ import pytest
 from oudesign import (
     Design1D,
     FimEntries2D,
+    NearSingularDesignError,
     OuParams,
     SheetParams,
     ValidationError,
@@ -26,6 +27,7 @@ from oudesign import (
     three_point_restricted_1d,
     two_point_k_optimal,
 )
+from oudesign import search
 from oudesign.fim import _equidistant_entries, _points_entries
 from oudesign.objectives import _cond3_from_entries
 from oudesign.search import (
@@ -457,10 +459,34 @@ def test_equidistant_k_small_rate_below_old_floor(n):
     assert np.min(k) >= res.value * (1.0 - 1e-12)
 
 
+def test_equidistant_k_pinned_at_the_window_end_is_not_converged(monkeypatch):
+    # a window [1e-4, 1e-2] below the optimum (~0.42 at rate 1, n = 5):
+    # the refine ends at its upper end exactly
+    log_axis = search._log_axis
+    monkeypatch.setattr(search, "_log_axis", lambda lo, hi, points, rate: log_axis(
+        lo, 1e-2, points, rate))
+    res = equidistant_k_optimal_1d(OuParams(1.0), 5)
+    assert not res.converged
+    assert res.argopt == math.exp(math.log(1e-2))
+    assert res.value == k_objective_1d(_equidistant_entries(1.0, res.argopt, 5))
+
+
 def test_equidistant_d_monotone():
     assert equidistant_d_monotone_check(OuParams(0.5), 3, np.linspace(0.1, 10, 300))
     assert equidistant_d_monotone_check(OuParams(1.0), 2, np.linspace(0.05, 20, 300))
     assert equidistant_d_monotone_check(OuParams(2.0), 20, np.linspace(0.01, 5, 300))
+    assert equidistant_d_monotone_check(OuParams(0.5), 3, (10.0, 0.1, 1.0))  # any order
+
+
+@pytest.mark.parametrize("steps,error", [
+    ([0.1, math.nan, 1.0], ValidationError),
+    ([0.1, math.inf], ValidationError),
+    ([0.1], ValidationError),
+    ([1e-300, 1e-200], NearSingularDesignError),  # coincident at rate 1
+], ids=["nan", "inf", "one step", "coincident"])
+def test_equidistant_d_monotone_rejects_bad_steps(steps, error):
+    with pytest.raises(error):
+        equidistant_d_monotone_check(OuParams(1.0), 3, steps)
 
 
 @pytest.mark.parametrize("beta,gamma", [(1.0, 1.0), (0.2, 0.3), (5.0, 8.0)])
