@@ -32,13 +32,11 @@ from .model import (
     OuParams,
     SheetParams,
     TrendParams,
-    _apply_precision,
     _axes,
     _basis,
     _check_count,
-    _precision_bands,
     _require_positive,
-    sample_observations,
+    _whiten,
 )
 from .search import (
     collapse_interval,
@@ -108,37 +106,45 @@ class EffCurvePoint:
     collapsed: bool
 
 
+def _whitened(params, design, v):
+    """Rows of ``v`` (values at the design points) whitened along each
+    axis, as a ``(rows, n_points)`` matrix; in 2D this applies the
+    Kronecker product of the axis factors without forming it."""
+    axes = _axes(params, design)
+    v = v.reshape((len(v),) + tuple(axis_design.n for _, axis_design in axes))
+    for axis, (rate, axis_design) in enumerate(axes, start=1):
+        v = _whiten(rate, axis_design, v, axis)
+    return v.reshape(len(v), -1)
+
+
+def _gls_map(params, design):
+    """GLS map ``G = (W W^T)^{-1} W``, with ``W`` the whitened trend basis:
+    GLS is least squares on whitened data (the correlation suffices, as
+    any common scale of the covariance cancels)."""
+    basis = _whitened(params, design, _basis(design))
+    try:
+        return np.linalg.solve(basis @ basis.T, basis)
+    except np.linalg.LinAlgError as exc:
+        raise SingularFimError(f"design yields a singular information matrix: {exc}") from exc
+
+
 def gls_estimate(observations, design, params):
     """Generalized least squares estimate of the trend coefficients.
 
-    The tridiagonal inverse correlation of each axis is applied to the
-    basis rows (in 2D along both axes of the grid, which is the Kronecker
-    product of the axis inverses without forming it); any common scale
-    of the covariance cancels, so the correlation suffices.  The normal
-    equations are solved once against the weighted basis, and all
-    replicates are estimated in one matrix product.  ``observations`` may
-    be a single vector or a ``(replicates, n_points)`` matrix; estimates
-    come back with matching leading shape.
+    Whitened observations go through :func:`_gls_map` in one matrix
+    product.  ``observations`` may be a single vector or a ``(replicates,
+    n_points)`` matrix; estimates come back with matching leading shape.
     """
     y = np.asarray(observations, dtype=float)
     single = y.ndim == 1
     if single:
         y = y[None, :]
-    axes = _axes(params, design)
-    weighted = basis = _basis(design)
-    for axis, (rate, axis_design) in enumerate(axes, start=1):
-        weighted = _apply_precision(_precision_bands(rate, axis_design), weighted, axis)
-    basis, weighted = basis.reshape(len(basis), -1), weighted.reshape(len(basis), -1)
-    if y.shape[1] != basis.shape[1]:
+    gls_map = _gls_map(params, design)
+    if y.shape[1] != gls_map.shape[1]:
         raise ValidationError(
-            f"observations have {y.shape[1]} columns, design has {basis.shape[1]} points"
+            f"observations have {y.shape[1]} columns, design has {gls_map.shape[1]} points"
         )
-    fim = weighted @ basis.T
-    try:
-        gls_map = np.linalg.solve(fim, weighted)
-    except np.linalg.LinAlgError as exc:
-        raise SingularFimError(f"design yields a singular information matrix: {exc}") from exc
-    est = y @ gls_map.T
+    est = _whitened(params, design, y) @ gls_map.T
     return est[0] if single else est
 
 
@@ -151,10 +157,21 @@ def _design_stream(seed: int, design) -> np.random.SeedSequence:
 
 
 def _simulated_mse(params, design, trend, replicates, seed):
-    y = sample_observations(params, design, trend, replicates, _design_stream(seed, design))
-    est = gls_estimate(y, design, params)
-    sq = (est - trend.coefficients()[None, :]) ** 2
-    per_replicate = sq.mean(axis=1)
+    """GLS mean squared error over ``replicates`` draws, and its MC SE.
+
+    Whitened observations are the sampler's standard normals ``z`` (drawn
+    here from the stream the sampler would use), so the estimation errors
+    are ``sqrt(stationary_variance) * z @ G.T``.  Adding and removing the
+    trend keeps its rounding: noise lost against the trend gives 0.
+    """
+    gls_map = _gls_map(params, design)
+    rng = np.random.Generator(np.random.Philox(_design_stream(seed, design)))
+    err = rng.standard_normal((replicates, gls_map.shape[1])) @ gls_map.T
+    coef = trend.coefficients()
+    err *= math.sqrt(params.stationary_variance)
+    err += coef
+    err -= coef
+    per_replicate = np.square(err, out=err).mean(axis=1)
     mse = float(per_replicate.mean())
     if not mse > 0.0:
         raise NumericalError(
@@ -173,7 +190,7 @@ def _efficiency(params, k_design, d_design, config: McConfig) -> EffReport:
     trend = TrendParams(*[1.0] * (1 + len(_axes(sim_params, k_design))))
     mse_k, se_k = _simulated_mse(sim_params, k_design, trend, config.replicates, config.seed)
     mse_d, se_d = _simulated_mse(sim_params, d_design, trend, config.replicates, config.seed)
-    eff = 100.0 * mse_k / mse_d
+    eff = 100.0 * (mse_k / mse_d)
     se = eff * math.sqrt((se_k / mse_k) ** 2 + (se_d / mse_d) ** 2)
     return EffReport(mse_k=mse_k, mse_d=mse_d, eff_percent=eff, mc_standard_error=se)
 

@@ -298,16 +298,17 @@ def _precision_bands(beta: float, design: Design1D) -> tuple[np.ndarray, np.ndar
     return diag, -p * inv_1mp2
 
 
-def _apply_precision(
-    bands: tuple[np.ndarray, np.ndarray], v: np.ndarray, axis: int
-) -> np.ndarray:
-    """Multiply ``v`` along ``axis`` by the tridiagonal matrix ``bands``."""
-    diag, off = bands
+def _whiten(beta: float, design: Design1D, v: np.ndarray, axis: int) -> np.ndarray:
+    """``v`` along ``axis`` times the inverse lower Cholesky factor of the
+    axis correlation matrix: the inverse AR(1) recursion ``w_0 = v_0``,
+    ``w_k = (v_k - p_k*v_{k-1}) / sqrt(1 - p_k^2)``.  The numerator is
+    taken as ``v_k - v_{k-1} - expm1(-beta*d_k)*v_{k-1}``, so values at
+    nearby points keep their digits."""
+    x = _scaled_gaps(beta, design)
     v = np.moveaxis(v, axis, -1)
-    out = v * diag
-    out[..., :-1] += off * v[..., 1:]
-    out[..., 1:] += off * v[..., :-1]
-    return np.moveaxis(out, -1, axis)
+    prev = v[..., :-1]
+    step = (v[..., 1:] - prev - np.expm1(-x) * prev) / np.sqrt(-np.expm1(-2.0 * x))
+    return np.moveaxis(np.concatenate([v[..., :1], step], axis=-1), -1, axis)
 
 
 def correlation_matrix_1d(params: OuParams, design: Design1D) -> np.ndarray:

@@ -406,7 +406,9 @@ def equidistant_k_optimal_1d(params: OuParams, n: int) -> SearchResult:
     def f(u):
         return k_objective_1d(_equidistant_entries(beta, np.exp(u), n))
 
-    (u,), value, evaluations = _scan_refine(f, (axis,), EQUIDISTANT_TOL)
+    # Entries that overflow near rate 1e-300 fail the det check: SingularFimError.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        (u,), value, evaluations = _scan_refine(f, (axis,), EQUIDISTANT_TOL)
     return SearchResult(
         argopt=math.exp(u),
         value=_checked_value(value, "K", beta),

@@ -22,6 +22,7 @@ from oudesign import (
     sample_observations,
 )
 from oudesign._reference import gls_dense
+from oudesign.mc import _design_stream
 from helpers import TABLE1_CELLS, random_design
 
 
@@ -61,6 +62,22 @@ def test_gls_matches_dense_solve_2d(n, m):
     assert np.allclose(
         gls_estimate(y, design, params), gls_dense(y, design, params), rtol=1e-9
     )
+
+
+@pytest.mark.parametrize("gap", [1e-4, 1e-6, 1e-8, 1e-10])
+def test_gls_keeps_its_digits_at_near_coincident_points(gap):
+    # against a 50-digit dense GLS; the scaled gaps go down to 1e-10
+    mpmath = pytest.importorskip("mpmath")
+    design = Design1D((0.0, gap, 0.5, 0.5 + gap, 1.0))
+    y = np.random.default_rng(53).standard_normal((4, design.n))
+    with mpmath.workdps(50):
+        s = [mpmath.mpf(x) for x in design.points]
+        corr = mpmath.matrix([[mpmath.exp(-abs(a - b)) for b in s] for a in s])
+        basis = mpmath.matrix([[1] * len(s), s])
+        weighted = basis * mpmath.inverse(corr)
+        gls = mpmath.inverse(weighted * basis.T) * weighted
+        exact = [[float(v) for v in gls * mpmath.matrix(row.tolist())] for row in y]
+    np.testing.assert_allclose(gls_estimate(y, design, OuParams(1.0)), exact, rtol=1e-13, atol=0)
 
 
 def test_gls_scale_invariance_in_noise_level():
@@ -137,6 +154,18 @@ def test_eff_design_against_itself_is_exactly_100():
     rep = run_efficiency_1d(OuParams(0.3), config)
     assert rep.eff_percent == 100.0
     assert rep.mse_k == rep.mse_d
+
+
+@pytest.mark.parametrize(
+    "run,params,design",
+    [(run_efficiency_1d, OuParams(0.3), Design1D((0.0, 0.5, 1.0))),
+     (run_efficiency_2d, SheetParams(0.3, 0.3), GridDesign2D((0.0, 0.5, 1.0), (0.0, 0.5, 1.0)))],
+)
+def test_eff_design_against_itself_is_exactly_100_for_every_seed(run, params, design):
+    # 100 * x / x rounds away from 100 for about one x in eight
+    for seed in range(40):
+        rep = run(params, McConfig(replicates=500, seed=seed, design_pair=(design, design)))
+        assert rep.eff_percent == 100.0, seed
 
 
 def test_efficiency_1d_small_rate_near_parity():
@@ -301,6 +330,58 @@ def test_efficiency_reproduces_recorded_mse():
     rep = run_efficiency_2d(SheetParams(10.0, 10.0), replace(cfg, design_pair=pair))
     assert rep.mse_k == pytest.approx(0.00010856766676256632, rel=1e-13)
     assert rep.mse_d == pytest.approx(9.28309051937752e-05, rel=1e-13)
+
+
+def test_simulated_mse_matches_40_digit_gls_of_the_same_draws():
+    # the long way round at 40 digits: the stream's normals colored by the
+    # AR(1) recursion, then GLS through the tridiagonal inverse correlation
+    mpmath = pytest.importorskip("mpmath")
+    n, reps, rate = 300, 64, 3.0
+    design = Design1D(tuple(0.5 - 0.5 * np.cos(np.pi * np.arange(n) / (n - 1))))
+    config = McConfig(replicates=reps, seed=5, design_pair=(design, design))
+    mse = run_efficiency_1d(OuParams(rate), config).mse_k
+    z = np.random.Generator(np.random.Philox(_design_stream(config.seed, design)))
+    z = z.standard_normal((reps, n))
+    with mpmath.workdps(40):
+        s = [mpmath.mpf(x) for x in design.points]
+        p = [mpmath.exp(-rate * (b - a)) for a, b in zip(s, s[1:])]
+        inv = [1 / (1 - pk * pk) for pk in p]
+        diag = [inv[0]] + [inv[k] + p[k - 1] ** 2 * inv[k - 1] for k in range(1, n - 1)] + [inv[-1]]
+        off = [-pk * ik for pk, ik in zip(p, inv)] + [0]  # the 0 closes both ends
+
+        def precision(v):
+            return [diag[i] * v[i] + off[i] * v[(i + 1) % n] + off[i - 1] * v[i - 1]
+                    for i in range(n)]
+
+        weighted = [precision([mpmath.mpf(1)] * n), precision(s)]
+        fim = mpmath.matrix([[mpmath.fdot(w, b) for b in ([1] * n, s)] for w in weighted])
+        gls = mpmath.sqrt(mpmath.mpf(config.sigma) ** 2 / (2 * rate)) * mpmath.inverse(fim)
+        total = 0
+        for row in z:
+            x = [mpmath.mpf(row[0])]
+            for k in range(1, n):
+                x.append(p[k - 1] * x[-1] + mpmath.sqrt(1 - p[k - 1] ** 2) * row[k])
+            err = gls * mpmath.matrix([mpmath.fdot(w, x) for w in weighted])
+            total += err[0] ** 2 + err[1] ** 2
+        exact = float(total / (2 * reps))
+    assert mse == pytest.approx(exact, rel=1e-13)
+
+
+def test_mc_memory_is_the_draws_and_one_error_buffer():
+    # a (replicates, n_points) matrix of normals and one (replicates, p)
+    # buffer for the errors, nothing more of either size
+    import tracemalloc
+
+    reps = 10_000
+    design = GridDesign2D((0.0, 0.4, 1.0), (0.0, 0.6, 1.0))
+    config = McConfig(replicates=reps, seed=1, design_pair=(design, design))
+    tracemalloc.start()
+    try:
+        run_efficiency_2d(SheetParams(2.0, 3.0), config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * 8 * reps * (design.size + 3)
 
 
 @pytest.mark.parametrize(

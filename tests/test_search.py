@@ -9,6 +9,7 @@ from oudesign import (
     NearSingularDesignError,
     OuParams,
     SheetParams,
+    SingularFimError,
     ValidationError,
     collapse_equation,
     collapse_interval,
@@ -457,6 +458,15 @@ def test_equidistant_k_small_rate_below_old_floor(n):
     k = k_objective_1d(_equidistant_entries(beta, d, n))
     assert res.argopt == pytest.approx(d[np.argmin(k)], rel=1e-3)
     assert np.min(k) >= res.value * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("rate", [1e-300, 1e-200, 1e-160])
+@pytest.mark.parametrize("n", [2, 5, 1000])
+def test_equidistant_k_at_vanishing_rates_raises_singular_fim(rate, n):
+    # the entries of the smallest steps overflow there; the library call
+    # raises SingularFimError with no numpy warning on the way, as the CLI
+    with pytest.raises(SingularFimError, match="singular information matrix"):
+        equidistant_k_optimal_1d(OuParams(rate), n)
 
 
 def test_equidistant_k_pinned_at_the_window_end_is_not_converged(monkeypatch):
