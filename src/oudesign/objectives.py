@@ -9,24 +9,17 @@ Two criteria appear throughout the package:
 Every criterion also takes entries whose fields are arrays, so searches
 and asymptotics evaluate whole grids here.  The 3x3 condition number
 takes its largest eigenvalue from the trigonometric closed form and the
-other two from the deflated quadratic (see :func:`_eigen3_from_invariants`).
+other two from the deflated quadratic (see :func:`_eigen3`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import NumericalError, SingularFimError
-from .fim import (
-    FimEntries1D,
-    FimEntries2D,
-    _points_entries,
-    fim_entries_1d,
-    fim_entries_2d,
-)
+from .fim import FimEntries1D, FimEntries2D, _points_entries, fim_entries_1d, fim_entries_2d
 from .model import Design1D, GridDesign2D, OuParams, SheetParams
 
 __all__ = [
@@ -44,11 +37,6 @@ __all__ = [
 # rescaling a design moves no decision; on every search family
 # det/(l1*l3) stays above 0.25.
 DET_RTOL = 1e-15
-
-# Relative threshold on 3*tr(A^2) - tr(A)^2 below which a symmetric 3x3
-# matrix is treated as a multiple of the identity (the trig formula is
-# 0/0 there, the limit is three equal eigenvalues).
-IDENTITY_MULTIPLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -71,10 +59,13 @@ def _checked_det(entries: FimEntries1D):
     det = d_objective_1d(entries)
     singular = np.logical_not(det > DET_RTOL * entries.l1 * entries.l3)
     if np.any(singular):
-        ratio = np.fmin.reduce(np.asarray(det / (entries.l1 * entries.l3))[singular])
+        ratio = np.asarray(det / (entries.l1 * entries.l3))[singular]
+        numbers = ratio[~np.isnan(ratio)]  # entries that overflowed give none
+        smallest = f"smallest {np.min(numbers):g}, " if numbers.size else ""
         raise SingularFimError(
-            f"{np.count_nonzero(singular)} of {np.size(singular)} designs have a singular "
-            f"information matrix: det/(l1*l3) at or below {DET_RTOL:g} (smallest {ratio:g})"
+            f"{ratio.size} of {np.size(singular)} designs have a singular information "
+            f"matrix: det/(l1*l3) at or below {DET_RTOL:g} "
+            f"({smallest}{ratio.size - numbers.size} not a number)"
         )
     return det
 
@@ -94,71 +85,63 @@ def k_objective_1d(entries: FimEntries1D, det=None) -> float:
     return 0.25 * top * top / det
 
 
-def _eigen3_from_invariants(trace, trace_sq, det):
-    """Eigenvalues from (tr A, tr A^2, det A); array-capable.
+def _eigen3(a, b, c, o1, o2, o3, c2, det):
+    """Eigenvalues (lam_max, lam_mid, lam_min) of the symmetric matrix
+    [[a, o1, o2], [o1, b, o3], [o2, o3, c]] with principal-minor sum c2 and
+    determinant det; array-capable, and bitwise symmetric in (b, o1) <-> (c, o2).
 
-    Returns (lam_max, lam_mid, lam_min).  lam_mid and lam_min are the
-    roots of t^2 - (tr - lam_max)*t + det/lam_max, the smaller as product
-    over larger, so it keeps its digits at large condition numbers.
+    lam_max is the trigonometric root of B = A - (tr/3)*I (Smith 1961),
+    whose p2 = tr(B^2) is a sum of squares: it does not cancel, and it is 0
+    exactly on multiples of I.  lam_mid and lam_min are the roots of
+    t^2 - s*t + det/lam_max, s = (c2 - det/lam_max)/lam_max, the smaller as
+    product over larger, so they keep their digits at large condition numbers.
     """
-    lam_max = _largest_eigen3(trace, trace_sq, det)
-    rest = trace - lam_max
-    prod = det / np.where(lam_max == 0.0, 1.0, lam_max)  # det is 0 where lam_max is
-    root = np.sqrt(np.maximum(rest * rest - 4.0 * prod, 0.0))
-    big = 0.5 * (rest + np.copysign(root, rest))
-    small = prod / np.where(big == 0.0, 1.0, big)
+    q = (a + (b + c)) / 3.0
+    p2 = ((b - c) ** 2 + ((a - b) ** 2 + (a - c) ** 2)) / 3.0 + 2.0 * ((o1**2 + o2**2) + o3**2)
+    p = np.sqrt(p2 / 6.0)
+    bb, bc = b - q, c - q
+    r = (a - q) * (bb * bc - o3**2) - ((bc * o1**2 + bb * o2**2) - 2.0 * (o1 * o2 * o3))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # r = det(B/p)/2, clipped of its rounding drift; fmin/fmax also take
+        # a multiple of I (0/0) to 1, where p = 0 leaves lam_max = q
+        r = np.fmax(np.fmin(r / (p * p2 / 3.0), 1.0), -1.0)
+        del p2, bb, bc  # the scans pass grids of 241^2 matrices: free them early
+        lam_max = q + 2.0 * p * np.cos(np.arccos(r) / 3.0)
+        del q, p, r
+        prod = det / lam_max
+        s = (c2 - prod) / lam_max
+        big = 0.5 * (s + np.copysign(np.sqrt(np.maximum(s * s - 4.0 * prod, 0.0)), s))
+        small = prod / big
     return lam_max, np.maximum(big, small), np.minimum(big, small)
 
 
-def _largest_eigen3(trace, trace_sq, det):
-    """lam_max from the trigonometric formula; identity multiples take the
-    limit of its normalized cubic invariant rho, 1."""
-    trace = np.asarray(trace, dtype=float)
-    trace_sq = np.asarray(trace_sq, dtype=float)
-    det = np.asarray(det, dtype=float)
-    disc = 3.0 * trace_sq - trace * trace
-    scale = np.maximum(trace * trace, trace_sq)
-    degenerate = disc <= IDENTITY_MULTIPLE_TOL * np.maximum(scale, 1e-300)
-    safe_disc = np.where(degenerate, 1.0, disc)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rho = (54.0 * det + trace * (9.0 * trace_sq - 5.0 * trace * trace)) / (
-            math.sqrt(2.0) * safe_disc**1.5
-        )
-    rho = np.clip(rho, -1.0, 1.0)  # FP drift can leave [-1, 1] by ~1e-16
-    rho = np.where(degenerate, 1.0, rho)
-    phi = np.arccos(rho) / 3.0
-    amp = np.sqrt(2.0 * np.where(degenerate, 0.0, disc))
-    return (trace + amp * np.cos(phi)) / 3.0
-
-
-def _cond3_from_entries(entries: FimEntries2D):
-    """Condition number of the grid matrix straight from its axis
-    entries, batched over broadcastable entry arrays.
+def _cond3_from_entries(entries: FimEntries2D, dets=None):
+    """Condition number of the grid matrix from its axis entries and their
+    determinants ``dets`` (by default from the entries), batched over
+    broadcastable entry arrays; c2 and det come from the determinants.
 
     Returns (cond, lam_min), with no positivity check: the searches scan
     with it, and :func:`k_objective_2d` validates it.  Sums are grouped
     so that swapping the two axes reproduces every value bit for bit.
     """
     s, t = entries.s_entries, entries.t_entries
+    ds, dt = (d_objective_1d(s), d_objective_1d(t)) if dets is None else dets
     a = s.l1 * t.l1
-    b = s.l3 * t.l1
-    c = s.l1 * t.l3
-    o1 = s.l2 * t.l1
-    o2 = s.l1 * t.l2
-    o3 = s.l2 * t.l2
-    trace = a + (b + c)
-    trace_sq = a * a + (b * b + c * c) + 2.0 * ((o1 * o1 + o2 * o2) + o3 * o3)
-    lam_max, _, lam_min = _eigen3_from_invariants(trace, trace_sq, d_objective_2d(entries))
+    c2 = (ds * (t.l1 * t.l1 + t.l2 * t.l2) + dt * (s.l1 * s.l1 + s.l2 * s.l2)) + ds * dt
+    lam_max, _, lam_min = _eigen3(
+        a, s.l3 * t.l1, s.l1 * t.l3, s.l2 * t.l1, s.l1 * t.l2, s.l2 * t.l2, c2, a * (ds * dt)
+    )
     with np.errstate(divide="ignore", invalid="ignore"):
         return lam_max / lam_min, lam_min
 
 
-def k_objective_2d(entries: FimEntries2D) -> float:
+def k_objective_2d(entries: FimEntries2D, dets=None) -> float:
     """Condition number of the assembled 3x3 grid information matrix, the
-    value a K-optimal grid design minimizes, from the two axes' entries;
-    batched like :func:`d_objective_2d`.  Raises :class:`NumericalError`
-    where a smallest eigenvalue is not positive."""
-    cond, lam_min = _cond3_from_entries(entries)
+    value a K-optimal grid design minimizes, from the two axes' entries and
+    determinants (see :func:`evaluate_design_2d`); batched like
+    :func:`d_objective_2d`.  Raises :class:`NumericalError` where a
+    smallest eigenvalue is not positive."""
+    cond, lam_min = _cond3_from_entries(entries, dets)
     if not np.all(lam_min > 0.0):
         raise NumericalError(
             f"matrix is not positive definite (smallest eigenvalue {np.min(lam_min):g})"
@@ -166,11 +149,13 @@ def k_objective_2d(entries: FimEntries2D) -> float:
     return cond
 
 
-def d_objective_2d(entries: FimEntries2D) -> float:
-    """Determinant of the assembled 3x3 grid information matrix,
-    in its factored form l1*m1 * (l1*l3 - l2^2) * (m1*m3 - m2^2)."""
+def d_objective_2d(entries: FimEntries2D, dets=None) -> float:
+    """Determinant of the assembled 3x3 grid information matrix, in its
+    factored form l1*m1 * (l1*l3 - l2^2) * (m1*m3 - m2^2), where ``dets``
+    may give the two axis determinants."""
     s, t = entries.s_entries, entries.t_entries
-    return (s.l1 * t.l1) * (d_objective_1d(s) * d_objective_1d(t))
+    ds, dt = (d_objective_1d(s), d_objective_1d(t)) if dets is None else dets
+    return (s.l1 * t.l1) * (ds * dt)
 
 
 def _shifted_entries(rate: float, design: Design1D) -> FimEntries1D:
@@ -193,13 +178,13 @@ def evaluate_design_1d(params: OuParams, design: Design1D) -> ObjectiveEval:
 
 
 def evaluate_design_2d(params: SheetParams, design: GridDesign2D) -> ObjectiveEval:
-    """Determinant and condition-number criteria at a grid design."""
+    """Both criteria at a grid design, from the shift-invariant axis
+    determinants of the shifted entries."""
     entries = fim_entries_2d(params, design)
-    shifted = FimEntries2D(
-        _shifted_entries(params.beta, design.s), _shifted_entries(params.gamma, design.t)
-    )
+    dets = [d_objective_1d(_shifted_entries(rate, axis))
+            for rate, axis in ((params.beta, design.s), (params.gamma, design.t))]
     return ObjectiveEval(
-        d_value=float(d_objective_2d(shifted)),
-        k_value=float(k_objective_2d(entries)),
+        d_value=float(d_objective_2d(entries, dets)),
+        k_value=float(k_objective_2d(entries, dets)),
         entries=entries,
     )

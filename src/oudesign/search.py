@@ -27,7 +27,8 @@ grids contain the clipped boundary and ties break toward it.  Its
 boundary margin is measured against the same design with the collapsed
 coordinates moved MARGIN_STEP inside, so it does not depend on the scan.
 2D values are grouped so that swapping the two axes (and rates) is
-bitwise exact.
+bitwise exact, and ties go to the smallest sorted coordinates, so the
+swapped search takes the swapped path.
 """
 
 from __future__ import annotations
@@ -231,7 +232,7 @@ def _refine(f, axes, index, tol):
                 g[j] = c
             values = f(*np.ix_(*grids))
             evaluations += values.size
-            k = np.unravel_index(int(np.argmin(values)), values.shape)
+            k = _argmin(values, grids)
             x = [float(g[j]) for g, j in zip(grids, k)]
             gain = values[center] - values[k]
             edged = edged or gain > EDGE_GAIN_RTOL * abs(values[k]) and any(
@@ -248,13 +249,24 @@ def _refine(f, axes, index, tol):
     return best, value, evaluations
 
 
+def _argmin(values, grids):
+    """Index of the smallest value on the open mesh of the grids.  Ties go
+    to the point whose sorted coordinates are smallest, then whose
+    coordinates are: the rule commutes with swapping the axes, and on one
+    ascending axis (or among nan values) it takes the first index."""
+    k = int(np.argmin(values))
+    ties = np.flatnonzero(values == values.flat[k])
+    if ties.size > 1:
+        x = np.stack([g[i] for g, i in zip(grids, np.unravel_index(ties, values.shape))])
+        k = ties[np.lexsort(np.concatenate([np.sort(x, axis=0), x])[::-1])[0]]
+    return np.unravel_index(k, values.shape)
+
+
 def _scan_refine(f, axes, tol):
-    """Scan the open mesh of the axes, then refine its first row-major
-    argmin (ties break toward the smallest coordinates); returns (point,
-    value, evaluations)."""
+    """Scan the open mesh of the axes, then refine its argmin (see
+    :func:`_argmin`); returns (point, value, evaluations)."""
     values = f(*np.ix_(*axes))
-    index = np.unravel_index(int(np.argmin(values)), values.shape)
-    x, fx, evaluations = _refine(f, axes, index, tol)
+    x, fx, evaluations = _refine(f, axes, _argmin(values, axes), tol)
     return x, fx, values.size + evaluations
 
 

@@ -458,13 +458,16 @@ def test_searches_at_extreme_rates_answer_or_say_why(rate, search):
 
 
 def test_four_point_keeps_its_value_at_a_tiny_rate(runner):
-    # one axis at rate 1e-12 still finds the optimum (the two-point one at
-    # rate 1 along the other axis); from 1e-14 down K is lost to rounding
-    args = ["--format", "json", "optimize", "four-point", "--beta", "1e-12", "--gamma", "1"]
-    doc = json.loads(run_ok(runner, args))
-    assert dict(zip(doc["columns"], doc["rows"][0]))["value"] == pytest.approx(3.6215279, rel=1e-7)
-    message = run_error(runner, ["optimize", "four-point", "--beta", "1e-14", "--gamma", "1"], 3)
-    assert "1e-14, 1" in message
+    # one axis at a tiny rate still finds the optimum, the floor that the
+    # two-point K at rate 1 along the other axis sets by interlacing; at
+    # 1e-160 K is lost to rounding
+    for beta in ("1e-12", "1e-14", "1e-20"):
+        args = ["--format", "json", "optimize", "four-point", "--beta", beta, "--gamma", "1"]
+        doc = json.loads(run_ok(runner, args))
+        value = dict(zip(doc["columns"], doc["rows"][0]))["value"]
+        assert value == pytest.approx(3.6215279, rel=1e-7), beta
+    message = run_error(runner, ["optimize", "four-point", "--beta", "1e-160", "--gamma", "1"], 3)
+    assert "1e-160, 1" in message
 
 
 def readme_command_lines():

@@ -23,6 +23,7 @@ from oudesign import GridDesign2D
 from helpers import (
     cond3_closed,
     eigen3_closed,
+    grid_k_digits,
     k_60_digits,
     k_from_r,
     random_design,
@@ -275,3 +276,13 @@ def test_k_value_keeps_its_digits_off_the_origin(offset):
     design = Design1D((offset, offset + 0.3, offset + 1.0))
     k = k_60_digits(mpmath, 1.0, design.points)
     assert evaluate_design_1d(OuParams(1.0), design).k_value == pytest.approx(k, rel=1e-12)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e5, 1e7, 1e10])
+def test_grid_k_value_keeps_its_digits_off_the_origin(offset):
+    # 80-digit eigenvalues of the same float grid; far from the origin the
+    # raw axis determinants cancel, the shifted ones do not
+    mpmath = pytest.importorskip("mpmath")
+    grid = GridDesign2D((offset, offset + 0.3, offset + 1.0), (offset, offset + 0.5, offset + 2.0))
+    k = grid_k_digits(mpmath, 80, (1.0, 2.0), grid.s.points, grid.t.points)
+    assert evaluate_design_2d(SheetParams(1.0, 2.0), grid).k_value == pytest.approx(k, rel=1e-14)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -36,7 +37,7 @@ from oudesign.search import (
     THREE_POINT_GRID_RESOLUTION,
     TWO_POINT_MIN_RATE,
 )
-from helpers import TABLE1_CELLS, k_60_digits, k_from_r
+from helpers import TABLE1_CELLS, grid_k_digits, k_60_digits, k_from_r
 
 # positive roots of the collapse equation, 4 decimals
 BETA_LOWER = 0.5718
@@ -469,6 +470,16 @@ def test_equidistant_k_at_vanishing_rates_raises_singular_fim(rate, n):
         equidistant_k_optimal_1d(OuParams(rate), n)
 
 
+@pytest.mark.parametrize("rate", [1e-300, 1e-200, 1e-160])
+def test_singular_fim_message_names_a_number(rate):
+    # the ratios of entries that overflowed are nan; the message counts
+    # them instead of reporting a nan minimum
+    with pytest.raises(SingularFimError) as info:
+        equidistant_k_optimal_1d(OuParams(rate), 2)
+    assert "nan" not in str(info.value).lower()
+    assert "not a number" in str(info.value)
+
+
 def test_equidistant_k_pinned_at_the_window_end_is_not_converged(monkeypatch):
     # a window [1e-4, 1e-2] below the optimum (~0.42 at rate 1, n = 5):
     # the refine ends at its upper end exactly
@@ -696,6 +707,45 @@ def test_four_point_symmetric_rates():
     res = four_point_grid_k_optimal(SheetParams(0.25, 0.25))
     d, dl = res.argopt
     assert d == pytest.approx(dl, abs=1e-6)
+
+
+# every unequal pair from a box of rates; the sorted-coordinate tie rule
+# makes the swapped search take the swapped path
+SWAP_RATES = [10.0**k for k in range(-6, 8)] + [0.03, 0.05, 0.2, 0.3, 2.0, 15.0, 20.0]
+
+
+@pytest.mark.parametrize("search_k", [
+    lambda params: nine_point_restricted_2d(params, "K"), four_point_grid_k_optimal,
+], ids=["nine-point", "four-point"])
+def test_exchange_symmetry_bitwise_over_a_rate_box(search_k):
+    asymmetric = []
+    for beta, gamma in itertools.combinations(SWAP_RATES, 2):
+        a, b = search_k(SheetParams(beta, gamma)), search_k(SheetParams(gamma, beta))
+        if not (a.argopt == (b.argopt[1], b.argopt[0]) and a.value == b.value):
+            asymmetric.append((beta, gamma))
+    assert asymmetric == []
+
+
+@pytest.mark.parametrize("rate", [1e-6, 1e-5, 1e-4])
+def test_four_point_near_the_identity_keeps_its_digits(rate):
+    # both axes at a small rate: the grid matrix is close to a multiple of
+    # the identity, where an invariant-based trigonometric root cancels
+    mpmath = pytest.importorskip("mpmath")
+    res = four_point_grid_k_optimal(SheetParams(rate, rate))
+    d, dl = res.argopt
+    k = grid_k_digits(mpmath, 80, (rate, rate), (0.0, d), (0.0, dl))
+    assert res.value == pytest.approx(k, rel=1e-9)
+
+
+def test_table1_nine_point_k_values_match_60_digits():
+    # a collapsed coordinate merges two points, which leaves the design
+    # without the duplicate
+    mpmath = pytest.importorskip("mpmath")
+    for beta, gamma in TABLE1_CELLS:
+        res = nine_point_restricted_2d(SheetParams(beta, gamma), "K")
+        s_points, t_points = (sorted({0.0, c, 1.0}) for c in res.argopt)
+        k = grid_k_digits(mpmath, 60, (beta, gamma), s_points, t_points)
+        assert res.value == pytest.approx(k, rel=1e-14), (beta, gamma)
 
 
 def test_kopt_curve_lower_interval():
