@@ -61,11 +61,11 @@ def _checked_det(entries: FimEntries1D):
     if np.any(singular):
         ratio = np.asarray(det / (entries.l1 * entries.l3))[singular]
         numbers = ratio[~np.isnan(ratio)]  # entries that overflowed give none
-        smallest = f"smallest {np.min(numbers):g}, " if numbers.size else ""
+        notes = [f"smallest {np.min(numbers):g}"] if numbers.size else []
+        notes += [f"{ratio.size - numbers.size} not a number"] if numbers.size < ratio.size else []
         raise SingularFimError(
             f"{ratio.size} of {np.size(singular)} designs have a singular information "
-            f"matrix: det/(l1*l3) at or below {DET_RTOL:g} "
-            f"({smallest}{ratio.size - numbers.size} not a number)"
+            f"matrix: det/(l1*l3) at or below {DET_RTOL:g} ({', '.join(notes)})"
         )
     return det
 
@@ -97,17 +97,16 @@ def _eigen3(a, b, c, o1, o2, o3, c2, det):
     product over larger, so they keep their digits at large condition numbers.
     """
     q = (a + (b + c)) / 3.0
-    p2 = ((b - c) ** 2 + ((a - b) ** 2 + (a - c) ** 2)) / 3.0 + 2.0 * ((o1**2 + o2**2) + o3**2)
-    p = np.sqrt(p2 / 6.0)
-    bb, bc = b - q, c - q
-    r = (a - q) * (bb * bc - o3**2) - ((bc * o1**2 + bb * o2**2) - 2.0 * (o1 * o2 * o3))
+    p = np.sqrt(((b - c) ** 2 + ((a - b) ** 2 + (a - c) ** 2)) / 18.0
+                + ((o1**2 + o2**2) + o3**2) / 3.0)  # sqrt(p2/6)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # r = det(B/p)/2, clipped of its rounding drift; fmin/fmax also take
-        # a multiple of I (0/0) to 1, where p = 0 leaves lam_max = q
-        r = np.fmax(np.fmin(r / (p * p2 / 3.0), 1.0), -1.0)
-        del p2, bb, bc  # the scans pass grids of 241^2 matrices: free them early
+        # r = det(B/p)/2 cannot overflow (tr((B/p)^2) = 6); it is clipped of its
+        # rounding drift, and set to 1 only where p = 0 (a multiple of I: lam_max = q)
+        u1, u2, u3 = o1 / p, o2 / p, o3 / p
+        bb, bc = (b - q) / p, (c - q) / p
+        r = (a - q) / p * (bb * bc - u3**2) - ((bc * u1**2 + bb * u2**2) - 2.0 * (u1 * u2 * u3))
+        r = np.where(p == 0.0, 1.0, np.maximum(np.minimum(0.5 * r, 1.0), -1.0))
         lam_max = q + 2.0 * p * np.cos(np.arccos(r) / 3.0)
-        del q, p, r
         prod = det / lam_max
         s = (c2 - prod) / lam_max
         big = 0.5 * (s + np.copysign(np.sqrt(np.maximum(s * s - 4.0 * prod, 0.0)), s))
@@ -126,10 +125,10 @@ def _cond3_from_entries(entries: FimEntries2D, dets=None):
     """
     s, t = entries.s_entries, entries.t_entries
     ds, dt = (d_objective_1d(s), d_objective_1d(t)) if dets is None else dets
-    a = s.l1 * t.l1
-    c2 = (ds * (t.l1 * t.l1 + t.l2 * t.l2) + dt * (s.l1 * s.l1 + s.l2 * s.l2)) + ds * dt
+    a, dd = s.l1 * t.l1, ds * dt
+    c2 = (ds * (t.l1 * t.l1 + t.l2 * t.l2) + dt * (s.l1 * s.l1 + s.l2 * s.l2)) + dd
     lam_max, _, lam_min = _eigen3(
-        a, s.l3 * t.l1, s.l1 * t.l3, s.l2 * t.l1, s.l1 * t.l2, s.l2 * t.l2, c2, a * (ds * dt)
+        a, s.l3 * t.l1, s.l1 * t.l3, s.l2 * t.l1, s.l1 * t.l2, s.l2 * t.l2, c2, a * dd
     )
     with np.errstate(divide="ignore", invalid="ignore"):
         return lam_max / lam_min, lam_min
@@ -149,13 +148,11 @@ def k_objective_2d(entries: FimEntries2D, dets=None) -> float:
     return cond
 
 
-def d_objective_2d(entries: FimEntries2D, dets=None) -> float:
-    """Determinant of the assembled 3x3 grid information matrix, in its
-    factored form l1*m1 * (l1*l3 - l2^2) * (m1*m3 - m2^2), where ``dets``
-    may give the two axis determinants."""
+def d_objective_2d(entries: FimEntries2D) -> float:
+    """Determinant of the assembled 3x3 grid information matrix,
+    in its factored form l1*m1 * (l1*l3 - l2^2) * (m1*m3 - m2^2)."""
     s, t = entries.s_entries, entries.t_entries
-    ds, dt = (d_objective_1d(s), d_objective_1d(t)) if dets is None else dets
-    return (s.l1 * t.l1) * (ds * dt)
+    return (s.l1 * t.l1) * (d_objective_1d(s) * d_objective_1d(t))
 
 
 def _shifted_entries(rate: float, design: Design1D) -> FimEntries1D:
@@ -181,10 +178,12 @@ def evaluate_design_2d(params: SheetParams, design: GridDesign2D) -> ObjectiveEv
     """Both criteria at a grid design, from the shift-invariant axis
     determinants of the shifted entries."""
     entries = fim_entries_2d(params, design)
-    dets = [d_objective_1d(_shifted_entries(rate, axis))
-            for rate, axis in ((params.beta, design.s), (params.gamma, design.t))]
+    shifted = FimEntries2D(
+        _shifted_entries(params.beta, design.s), _shifted_entries(params.gamma, design.t)
+    )
+    dets = d_objective_1d(shifted.s_entries), d_objective_1d(shifted.t_entries)
     return ObjectiveEval(
-        d_value=float(d_objective_2d(entries, dets)),
+        d_value=float(d_objective_2d(shifted)),
         k_value=float(k_objective_2d(entries, dets)),
         entries=entries,
     )

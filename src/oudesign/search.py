@@ -254,18 +254,22 @@ def _argmin(values, grids):
     to the point whose sorted coordinates are smallest, then whose
     coordinates are: the rule commutes with swapping the axes, and on one
     ascending axis (or among nan values) it takes the first index."""
-    k = int(np.argmin(values))
-    ties = np.flatnonzero(values == values.flat[k])
+    flat = values.ravel()
+    k = int(flat.argmin())
+    ties = (flat == flat[k]).nonzero()[0]
     if ties.size > 1:
-        x = np.stack([g[i] for g, i in zip(grids, np.unravel_index(ties, values.shape))])
-        k = ties[np.lexsort(np.concatenate([np.sort(x, axis=0), x])[::-1])[0]]
+        x = [[g[j] for g, j in zip(grids, i)] for i in zip(*np.unravel_index(ties, values.shape))]
+        k = int(ties[min(range(ties.size), key=lambda n: (sorted(x[n]), x[n]))])
     return np.unravel_index(k, values.shape)
 
 
 def _scan_refine(f, axes, tol):
     """Scan the open mesh of the axes, then refine its argmin (see
     :func:`_argmin`); returns (point, value, evaluations)."""
-    values = f(*np.ix_(*axes))
+    # blocks of at most 2^14 points keep the criterion's temporaries in cache
+    rows = max(1, 2**14 // math.prod(map(len, axes[1:])))
+    values = np.concatenate([f(*np.ix_(axes[0][i:i + rows], *axes[1:]))
+                             for i in range(0, len(axes[0]), rows)])
     x, fx, evaluations = _refine(f, axes, _argmin(values, axes), tol)
     return x, fx, values.size + evaluations
 

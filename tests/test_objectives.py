@@ -86,8 +86,9 @@ def test_r_objective_three_point_boundary_limit():
 
 def test_r_objective_singular_guard():
     # a singular matrix has no finite condition number
-    with pytest.raises(SingularFimError):
+    with pytest.raises(SingularFimError) as info:
         k_objective_1d(FimEntries1D(1.0, 1.0, 1.0))
+    assert str(info.value).endswith("(smallest 0)")  # no nan ratio, so no count of them
 
 
 def test_k_objective_has_no_absolute_det_floor():
@@ -144,6 +145,14 @@ def test_k_objective_2d_rejects_non_pd():
             FimEntries1D(np.array([1.0, 1.0]), np.array([0.0, 2.0]), np.array([1.0, 1.0])),
             FimEntries1D(1.0, 0.0, 1.0),
         ))
+
+
+@pytest.mark.parametrize("big", [1e103, 1e110, 1e150])
+def test_k_objective_2d_keeps_large_entries(big):
+    # diag(1, big, big): det(B) and p^3 overflow long before p^2 does, so the
+    # kernel must take its cosine from the scaled B/p, not from their ratio
+    huge = FimEntries1D(1.0, 0.0, big)
+    assert k_objective_2d(FimEntries2D(huge, huge)) == pytest.approx(big, rel=1e-15)
 
 
 def test_k_objective_2d_matches_eigensolver():
