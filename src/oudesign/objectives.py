@@ -97,8 +97,8 @@ def _eigen3(a, b, c, o1, o2, o3, c2, det):
     product over larger, so they keep their digits at large condition numbers.
     """
     q = (a + (b + c)) / 3.0
-    p = np.sqrt(((b - c) ** 2 + ((a - b) ** 2 + (a - c) ** 2)) / 18.0
-                + ((o1**2 + o2**2) + o3**2) / 3.0)  # sqrt(p2/6)
+    p = np.sqrt((np.square(b - c) + (np.square(a - b) + np.square(a - c))) / 18.0
+                + ((np.square(o1) + np.square(o2)) + np.square(o3)) / 3.0)  # sqrt(p2/6)
     with np.errstate(divide="ignore", invalid="ignore"):
         # r = det(B/p)/2 cannot overflow (tr((B/p)^2) = 6); it is clipped of its
         # rounding drift, and set to 1 only where p = 0 (a multiple of I: lam_max = q)

@@ -155,6 +155,13 @@ def test_k_objective_2d_keeps_large_entries(big):
     assert k_objective_2d(FimEntries2D(huge, huge)) == pytest.approx(big, rel=1e-15)
 
 
+def test_k_objective_2d_raises_beyond_the_double_range():
+    # p^2 overflows: NumericalError for float entries as for numpy ones
+    huge = FimEntries1D(1.0, 0.0, 1e160)
+    with np.errstate(all="ignore"), pytest.raises(NumericalError):
+        k_objective_2d(FimEntries2D(huge, huge))
+
+
 def test_k_objective_2d_matches_eigensolver():
     rng = np.random.default_rng(23)
     for _ in range(100):
