@@ -18,17 +18,18 @@ equation; :func:`collapse_interval` computes those roots, and the
 three-point K search takes its flag from them.
 
 The four scanning searches share one routine (:func:`_refine`): a scan on
-the open mesh of one or two axes, then zooming grids around the scan's
-argmin, until the zoom is as fine as the search's fixed tolerance.  Unit
-axes are linear on [0, 1]; gap axes are log d from a lower end that
-follows the rate, so the tolerance is relative there.  A
-coordinate has collapsed when it refines to exactly 0 or 1: the zoom
-grids contain the clipped boundary and ties break toward it.  Its
-boundary margin is measured against the same design with the collapsed
-coordinates moved MARGIN_STEP inside, so it does not depend on the scan.
-2D values are grouped so that swapping the two axes (and rates) is
-bitwise exact, and ties go to the smallest sorted coordinates, so the
-swapped search takes the swapped path.
+the open mesh of one or two axes, then zooming meshes of about 2^8 points
+around the scan's argmin, until the zoom is as fine as the search's fixed
+tolerance; each scan and zoom level is one criterion call, whose cost is
+per call rather than per point.  Unit axes are linear on [0, 1]; gap axes
+are log d from a lower end that follows the rate, so the tolerance is
+relative there.  A coordinate has collapsed when it refines to exactly 0
+or 1: the zoom grids contain the clipped boundary and ties break toward
+it.  Its boundary margin is measured against the same design with the
+collapsed coordinates moved MARGIN_STEP inside, so it does not depend on
+the scan.  2D values are grouped so that swapping the two axes (and
+rates) is bitwise exact, and ties go to the smallest sorted coordinates,
+so the swapped search takes the swapped path.
 """
 
 from __future__ import annotations
@@ -68,18 +69,19 @@ COLLAPSE_EQUATION_MAX_RATE = 170.0  # exp(4*beta) overflows just beyond this
 # the bracket in double precision (from about 1e-79.5); from here up the
 # root is 2*rate within 1e-13 relative at small rates.
 TWO_POINT_MIN_RATE = 1e-75
-REFINE_POINTS = 17
-REFINE_SHRINK = 0.25
+REFINE_POINTS = (257, 17)  # points per axis of a refine level, on one axis and on two
 MAX_REFINE_PASSES = 3
 EDGE_GAIN_RTOL = 1e-12  # criterion rounding is ~1e-15 relative
-# Search settings, fixed for the library and the CLI.  The nine-point scan
-# only has to land in the optimum's basin (a 31-point scan misses the one
-# at rates (1e7, 1), 2.2e-7 relative); the refine sets the precision.
+# Search settings, fixed for the library and the CLI.  The 2D scans only
+# have to land in the optimum's basin (a 31-point nine-point scan misses
+# the one at rates (1e7, 1), 2.2e-7 relative); the refine sets the precision.
 THREE_POINT_GRID_RESOLUTION = 2001
 THREE_POINT_REFINE_TOL = 1e-10
 NINE_POINT_GRID_RESOLUTION = 41
 NINE_POINT_REFINE_TOL = 1e-8
+FOUR_POINT_GRID_RESOLUTION = 41
 FOUR_POINT_TOL = 1e-8
+EQUIDISTANT_GRID_RESOLUTION = 2001
 EQUIDISTANT_TOL = 1e-10
 MARGIN_STEP = 0.005  # how far inside a collapsed coordinate's margin looks
 
@@ -208,16 +210,17 @@ def _refine(f, axes, index, tol):
     """Refine the scan point ``index`` within the axes' range until every
     half-width is at most ``tol``; returns (point, value, evaluations).
 
-    A pass re-grids REFINE_POINTS per axis around the running argmin,
-    starting from the scan spacing, and shrinks every half-width w by
-    REFINE_SHRINK per level.  The new half-width w/4 exceeds the old
-    spacing w/8, so a minimum unimodal along each axis is never lost.
+    A level re-grids p = REFINE_POINTS[len(axes) - 1] points per axis
+    around the running argmin, starting from the scan spacing, and shrinks
+    every half-width w by 4/(p - 1): the new half-width is twice the old
+    spacing 2w/(p - 1), so a minimum unimodal along each axis is never lost.
     Every grid holds the running argmin, and a grid clipped at the range
     holds its end exactly.  In a narrow valley across two axes the coarse
     axis can drag the other's argmin to an inner edge of its window; a
     pass where an edge point beat the window's center by more than
     rounding is repeated from its result while that lowers the value.
     """
+    points = REFINE_POINTS[len(axes) - 1]
     lo, hi = [float(a[0]) for a in axes], [float(a[-1]) for a in axes]
     w0 = [float(a[1] - a[0]) for a in axes]
     x = [float(a[i]) for a, i in zip(axes, index)]
@@ -225,7 +228,7 @@ def _refine(f, axes, index, tol):
     for _ in range(MAX_REFINE_PASSES):
         w, edged = w0, False
         while True:
-            grids = [np.linspace(max(a, c - h), min(b, c + h), REFINE_POINTS)
+            grids = [np.linspace(max(a, c - h), min(b, c + h), points)
                      for c, h, a, b in zip(x, w, lo, hi)]
             center = tuple(int(np.argmin(np.abs(g - c))) for g, c in zip(grids, x))
             for g, c, j in zip(grids, x, center):
@@ -236,9 +239,9 @@ def _refine(f, axes, index, tol):
             x = [float(g[j]) for g, j in zip(grids, k)]
             gain = values[center] - values[k]
             edged = edged or gain > EDGE_GAIN_RTOL * abs(values[k]) and any(
-                j in (0, REFINE_POINTS - 1) and c not in (a, b) for j, c, a, b in zip(k, x, lo, hi)
+                j in (0, points - 1) and c not in (a, b) for j, c, a, b in zip(k, x, lo, hi)
             )
-            w = [REFINE_SHRINK * h for h in w]
+            w = [4 / (points - 1) * h for h in w]
             if max(w) <= tol:
                 break
         if not values[k] < value:
@@ -264,12 +267,10 @@ def _argmin(values, grids):
 
 
 def _scan_refine(f, axes, tol):
-    """Scan the open mesh of the axes, then refine its argmin (see
-    :func:`_argmin`); returns (point, value, evaluations)."""
-    # blocks of at most 2^14 points keep the criterion's temporaries in cache
-    rows = max(1, 2**14 // math.prod(map(len, axes[1:])))
-    values = np.concatenate([f(*np.ix_(axes[0][i:i + rows], *axes[1:]))
-                             for i in range(0, len(axes[0]), rows)])
+    """Scan the open mesh of the axes in one call (none exceeds 2^14 points),
+    then refine its argmin (see :func:`_argmin`); returns (point, value,
+    evaluations)."""
+    values = f(*np.ix_(*axes))
     x, fx, evaluations = _refine(f, axes, _argmin(values, axes), tol)
     return x, fx, values.size + evaluations
 
@@ -417,7 +418,7 @@ def equidistant_k_optimal_1d(params: OuParams, n: int) -> SearchResult:
     # At small rates the optimal step shrinks like rate/(n-1); the scan
     # window follows it.
     lo, hi = min(1e-4, 1e-2 * beta / (n - 1)), 1e4
-    axis = _log_axis(lo, hi, 2001, beta)
+    axis = _log_axis(lo, hi, EQUIDISTANT_GRID_RESOLUTION, beta)
 
     def f(u):
         return k_objective_1d(_equidistant_entries(beta, np.exp(u), n))
@@ -510,7 +511,8 @@ def four_point_grid_k_optimal(params: SheetParams) -> SearchResult:
     """
     beta, gamma = params.beta, params.gamma
     windows = tuple((min(1e-3, 0.1 * rate), 1e3) for rate in (beta, gamma))
-    axes = tuple(_log_axis(lo, hi, 241, rate) for (lo, hi), rate in zip(windows, (beta, gamma)))
+    axes = tuple(_log_axis(lo, hi, FOUR_POINT_GRID_RESOLUTION, rate)
+                 for (lo, hi), rate in zip(windows, (beta, gamma)))
 
     def f2(u, v):
         s, t = _equidistant_entries(beta, np.exp(u), 2), _equidistant_entries(gamma, np.exp(v), 2)

@@ -33,6 +33,7 @@ from oudesign import search
 from oudesign.fim import _equidistant_entries, _points_entries
 from oudesign.objectives import _cond3_from_entries
 from oudesign.search import (
+    FOUR_POINT_GRID_RESOLUTION,
     NINE_POINT_GRID_RESOLUTION,
     THREE_POINT_GRID_RESOLUTION,
     TWO_POINT_MIN_RATE,
@@ -653,7 +654,8 @@ def test_iterations_count_scan_and_refinement():
     # D scans and refines each axis on its own
     assert (nine_point_restricted_2d(SheetParams(1.0, 2.0), "D").iterations
             > 2 * NINE_POINT_GRID_RESOLUTION)
-    assert four_point_grid_k_optimal(SheetParams(0.2, 0.3)).iterations > 241**2
+    assert (four_point_grid_k_optimal(SheetParams(0.2, 0.3)).iterations
+            > FOUR_POINT_GRID_RESOLUTION**2)
     assert equidistant_k_optimal_1d(OuParams(1.0), 5).iterations > 2001
     assert two_point_k_optimal(OuParams(1.0)).iterations > 2
 
@@ -737,6 +739,33 @@ def test_four_point_near_the_identity_keeps_its_digits(rate):
     assert res.value == pytest.approx(k, rel=1e-9)
 
 
+# the benchmark's design_search pairs, plus two interior optima
+FOUR_POINT_PAIRS = ([(10.0**k, 10.0**k) for k in range(-6, 8)]
+                    + [(10.0**k, 1.0) for k in range(-6, 8) if k != 0]
+                    + [(0.2, 0.3), (0.25, 0.25)])
+
+
+def test_four_point_41_point_scan_finds_the_241_point_basin(monkeypatch):
+    # a scan only has to land in the optimum's basin; the refine sets the
+    # precision, so the coarse scan's value is no worse than the fine one's
+    coarse = [four_point_grid_k_optimal(SheetParams(*p)) for p in FOUR_POINT_PAIRS]
+    monkeypatch.setattr("oudesign.search.FOUR_POINT_GRID_RESOLUTION", 241)
+    for p, res in zip(FOUR_POINT_PAIRS, coarse):
+        fine = four_point_grid_k_optimal(SheetParams(*p))
+        assert res.value <= fine.value * (1.0 + 1e-12), p
+        assert res.converged == fine.converged, p
+
+
+def test_four_point_far_below_the_rate_box_keeps_its_digits():
+    # the 241-point scan led the refine to where the grid kernel errs low
+    # (2.4e-8 below the true K at its own argopt); the 41-point one does not
+    mpmath = pytest.importorskip("mpmath")
+    res = four_point_grid_k_optimal(SheetParams(1e-9, 7.5))
+    d, dl = res.argopt
+    k = grid_k_digits(mpmath, 80, (1e-9, 7.5), (0.0, d), (0.0, dl))
+    assert res.value == pytest.approx(k, rel=1e-12)
+
+
 def test_table1_nine_point_k_values_match_60_digits():
     # a collapsed coordinate merges two points, which leaves the design
     # without the duplicate
@@ -795,3 +824,58 @@ def test_scan_dispatch():
     assert rows[0].collapsed
     rows2 = kopt_surface_2d([10.0], [10.0])
     assert rows2[0].d_opt == pytest.approx(rows2[0].delta_opt, abs=1e-6)
+
+
+def _refine_levels(width, tol, points):
+    """Refine levels from the scan spacing down to tol, at 4/(points - 1)
+    shrink per level."""
+    levels = 0
+    while width > tol:
+        width, levels = 4 / (points - 1) * width, levels + 1
+    return levels
+
+
+@pytest.mark.parametrize("x0", [0.0, 1.0, 0.3 + 0.5 / 40 * (1 - 1e-9), 0.3 + 1e-12, 0.6 - 1e-12])
+def test_refine_keeps_a_minimum_at_a_scan_cell_edge(x0):
+    # |x - x0| is unimodal, with its minimum at the edge of the nearest
+    # scan point's cell (or on it, or at an end): every level's window must
+    # still hold it, and the ends are hit exactly
+    tol, (p1, p2) = 1e-10, search.REFINE_POINTS
+    axis = np.linspace(0.0, 1.0, 41)
+    (x,), _, evaluations = search._scan_refine(lambda x: np.abs(x - x0), (axis,), tol)
+    assert abs(x - x0) <= tol
+    assert x == x0 or x0 not in (0.0, 1.0)
+    assert evaluations == axis.size + _refine_levels(axis[1], tol, p1) * p1
+    y0 = 1.0 - x0
+    (x, y), _, evaluations = search._scan_refine(
+        lambda x, y: np.abs(x - x0) + np.abs(y - y0), (axis, axis), tol)
+    assert abs(x - x0) <= tol and abs(y - y0) <= tol
+    assert (x, y) == (x0, y0) or x0 not in (0.0, 1.0)
+    assert evaluations == axis.size**2 + _refine_levels(axis[1], tol, p2) * p2**2
+
+
+def one_dimensional_searches():
+    """Every search that refines on one axis, on rates 1e-6..1e7."""
+    runs = {}
+    for rate in (10.0**k for k in range(-6, 8)):
+        for crit in "DK":
+            runs["three-point", crit, rate] = three_point_restricted_1d(OuParams(rate), crit)
+        for n in (3, 30, 1000):
+            runs["equidistant", n, rate] = equidistant_k_optimal_1d(OuParams(rate), n)
+        runs["nine-point", "D", rate] = nine_point_restricted_2d(SheetParams(rate, 1.0), "D")
+    return runs
+
+
+def test_one_dimensional_refine_matches_the_17_point_refine(monkeypatch):
+    # 257-point levels end finer than 17-point ones, so no value is worse
+    # than theirs beyond rounding (nine-point D at rates >= 1e4 gains up to
+    # 3.2e-13, true at 60 digits; everything else is within 8e-15)
+    wide = one_dimensional_searches()
+    monkeypatch.setattr("oudesign.search.REFINE_POINTS", (17, 17))
+    for key, old in one_dimensional_searches().items():
+        new = wide[key]
+        maximized = key[1] == "D"
+        loss = (old.value - new.value if maximized else new.value - old.value) / old.value
+        assert loss <= 2e-14, key
+        assert (new.collapsed, new.converged) == (old.collapsed, old.converged), key
+        assert new.collapsed_axes == old.collapsed_axes, key
