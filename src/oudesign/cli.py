@@ -31,15 +31,13 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return f"{value:.12g}"
+        return f"{value:.12g}"  # nan and inf print as nan and inf
     return str(value)
 
 
 def _json_value(value):
     if isinstance(value, float):
-        if math.isnan(value):
+        if not math.isfinite(value):  # JSON has no nan or inf
             return None
         return float(f"{value:.12g}")
     return value

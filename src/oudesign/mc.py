@@ -2,9 +2,10 @@
 
 For rates where a non-collapsing condition-number-optimal design exists,
 both that design and the determinant-optimal one are simulated with
-independent draws, the regression coefficients are re-estimated by
-generalized least squares per replicate, and the mean squared errors are
-compared through the relative efficiency
+independent draws.  Each replicate's generalized least squares error
+is drawn directly, kept one row per coefficient, around a trend that is
+the constant 1 (the error does not depend on the trend).  The mean
+squared errors are compared through the relative efficiency
 
     eff = 100 * mse_K / mse_D  (percent),
 
@@ -31,18 +32,14 @@ from .model import (
     GridDesign2D,
     OuParams,
     SheetParams,
-    TrendParams,
     _axes,
     _basis,
     _check_count,
+    _noise_sd,
     _require_positive,
     _whiten,
 )
-from .search import (
-    collapse_interval,
-    nine_point_restricted_2d,
-    three_point_restricted_1d,
-)
+from .search import collapse_interval, nine_point_restricted_2d, three_point_restricted_1d
 
 __all__ = [
     "McConfig",
@@ -68,8 +65,8 @@ class McConfig:
     ``sigma`` is the noise scale of the simulated driving process (the
     design optimizations themselves are scale-free).  ``design_pair``
     optionally overrides the (K-optimal, D-optimal) designs instead of
-    searching for them.  The simulated trend has all-ones coefficients:
-    the GLS estimation error does not depend on the trend.
+    searching for them.  The simulated trend is the constant 1: the GLS
+    estimation error does not depend on the trend.
     """
 
     replicates: int = 10_000
@@ -136,16 +133,13 @@ def gls_estimate(observations, design, params):
     n_points)`` matrix; estimates come back with matching leading shape.
     """
     y = np.asarray(observations, dtype=float)
-    single = y.ndim == 1
-    if single:
-        y = y[None, :]
     gls_map = _gls_map(params, design)
-    if y.shape[1] != gls_map.shape[1]:
+    if y.shape[-1] != gls_map.shape[1]:
         raise ValidationError(
-            f"observations have {y.shape[1]} columns, design has {gls_map.shape[1]} points"
+            f"observations have {y.shape[-1]} columns, design has {gls_map.shape[1]} points"
         )
-    est = _whitened(params, design, y) @ gls_map.T
-    return est[0] if single else est
+    est = _whitened(params, design, np.atleast_2d(y)) @ gls_map.T
+    return est[0] if y.ndim == 1 else est
 
 
 def _design_stream(seed: int, design) -> np.random.SeedSequence:
@@ -156,40 +150,42 @@ def _design_stream(seed: int, design) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=(int(seed), int.from_bytes(digest, "big")))
 
 
-def _simulated_mse(params, design, trend, replicates, seed):
+def _simulated_mse(params, design, replicates, seed):
     """GLS mean squared error over ``replicates`` draws, and its MC SE.
 
     Whitened observations are the sampler's standard normals ``z`` (drawn
     here from the stream the sampler would use), so the estimation errors
-    are ``sqrt(stationary_variance) * z @ G.T``.  Adding and removing the
-    trend keeps its rounding: noise lost against the trend gives 0.
+    are ``sqrt(stationary_variance) * z @ G.T``, kept one row per
+    coefficient so that every later pass runs along contiguous memory.
+    Adding and removing the trend, the constant 1, keeps its rounding:
+    noise lost against the trend gives 0.
     """
     gls_map = _gls_map(params, design)
+    sd = _noise_sd(params)
     rng = np.random.Generator(np.random.Philox(_design_stream(seed, design)))
-    err = rng.standard_normal((replicates, gls_map.shape[1])) @ gls_map.T
-    coef = trend.coefficients()
-    err *= math.sqrt(params.stationary_variance)
-    err += coef
-    err -= coef
-    per_replicate = np.square(err, out=err).mean(axis=1)
+    err = np.ascontiguousarray((rng.standard_normal((replicates, gls_map.shape[1])) @ gls_map.T).T)
+    err *= sd
+    err += 1.0
+    err -= 1.0
+    per_replicate = np.square(err, out=err).mean(axis=0)
     mse = float(per_replicate.mean())
-    if not mse > 0.0:
+    if not 0.0 < mse < math.inf:
+        fate = "vanishes against the trend" if mse == 0.0 else "overflows when squared"
         raise NumericalError(
-            f"simulated MSE is {mse:g}: noise of standard deviation "
-            f"{math.sqrt(params.stationary_variance):.3g} vanishes against the trend "
+            f"simulated MSE is {mse:g}: noise of standard deviation {sd:.3g} {fate} "
             "in double precision"
         )
     se = float(per_replicate.std(ddof=1) / math.sqrt(replicates)) if replicates > 1 else float("nan")
     return mse, se
 
 
-def _efficiency(params, k_design, d_design, config: McConfig) -> EffReport:
-    """Simulate both designs at the configured noise scale, with all-ones
-    trend coefficients, and compare their MSEs."""
+def _efficiency(params, design_pair, config: McConfig) -> EffReport:
+    """Simulate the (K, D) design pair at the configured noise scale and
+    compare their MSEs."""
     sim_params = replace(params, sigma=config.sigma)
-    trend = TrendParams(*[1.0] * (1 + len(_axes(sim_params, k_design))))
-    mse_k, se_k = _simulated_mse(sim_params, k_design, trend, config.replicates, config.seed)
-    mse_d, se_d = _simulated_mse(sim_params, d_design, trend, config.replicates, config.seed)
+    k_design, d_design = design_pair
+    mse_k, se_k = _simulated_mse(sim_params, k_design, config.replicates, config.seed)
+    mse_d, se_d = _simulated_mse(sim_params, d_design, config.replicates, config.seed)
     eff = 100.0 * (mse_k / mse_d)
     se = eff * math.sqrt((se_k / mse_k) ** 2 + (se_d / mse_d) ** 2)
     return EffReport(mse_k=mse_k, mse_d=mse_d, eff_percent=eff, mc_standard_error=se)
@@ -199,21 +195,21 @@ def run_efficiency_1d(params: OuParams, config: McConfig) -> EffReport:
     """Relative efficiency of the three-point restricted K-optimal design
     against the equidistant D-optimal one, both on {0, ., 1}.
 
-    Raises :class:`CollapsedDesignError` for rates inside the collapse
-    interval, where no non-collapsing K-optimal design exists.
+    Raises :class:`CollapsedDesignError` where the K search reports a
+    collapse: for rates inside the collapse interval, where no
+    non-collapsing K-optimal design exists.
     """
-    if config.design_pair is not None:
-        k_design, d_design = config.design_pair
-    else:
-        interval = collapse_interval()
-        if interval.contains(params.beta):
+    pair = config.design_pair
+    if pair is None:
+        k_res = three_point_restricted_1d(params, "K")
+        if k_res.collapsed:
+            interval = collapse_interval()
             raise CollapsedDesignError(
                 f"rate {params.beta:g} lies inside the collapse interval "
                 f"[{interval.lower:.4f}, {interval.upper:.4f}]"
             )
-        k_design = Design1D((0.0, three_point_restricted_1d(params, "K").argopt, 1.0))
-        d_design = Design1D((0.0, 0.5, 1.0))
-    return _efficiency(params, k_design, d_design, config)
+        pair = Design1D((0.0, k_res.argopt, 1.0)), Design1D((0.0, 0.5, 1.0))
+    return _efficiency(params, pair, config)
 
 
 def run_efficiency_2d(params: SheetParams, config: McConfig) -> EffReport:
@@ -221,9 +217,8 @@ def run_efficiency_2d(params: SheetParams, config: McConfig) -> EffReport:
     against the directionally equidistant D-optimal one on the unit
     square.  Raises :class:`CollapsedDesignError` inside the collapse
     region of the rate plane."""
-    if config.design_pair is not None:
-        k_design, d_design = config.design_pair
-    else:
+    pair = config.design_pair
+    if pair is None:
         k_res = nine_point_restricted_2d(params, "K")
         if k_res.collapsed and (k_res.boundary_margin or 0.0) > MATERIAL_COLLAPSE_RTOL:
             raise CollapsedDesignError(
@@ -234,36 +229,21 @@ def run_efficiency_2d(params: SheetParams, config: McConfig) -> EffReport:
         # An immaterial boundary optimum (flat criterion surface, boundary
         # better by under MATERIAL_COLLAPSE_RTOL relative) still defines a
         # valid merged design: a collapsed coordinate drops its middle line.
-        d_opt, delta_opt = k_res.argopt
-        cx, cy = k_res.collapsed_axes
-        s_pts = (0.0, 1.0) if cx else (0.0, d_opt, 1.0)
-        t_pts = (0.0, 1.0) if cy else (0.0, delta_opt, 1.0)
-        k_design = GridDesign2D(Design1D(s_pts), Design1D(t_pts))
-        d_design = GridDesign2D(Design1D((0.0, 0.5, 1.0)), Design1D((0.0, 0.5, 1.0)))
-    return _efficiency(params, k_design, d_design, config)
+        k_axes = [Design1D((0.0, 1.0) if collapsed else (0.0, x, 1.0))
+                  for x, collapsed in zip(k_res.argopt, k_res.collapsed_axes)]
+        center = Design1D((0.0, 0.5, 1.0))
+        pair = GridDesign2D(*k_axes), GridDesign2D(center, center)
+    return _efficiency(params, pair, config)
 
 
 def efficiency_curve(betas, config: McConfig) -> list[EffCurvePoint]:
     """Efficiency sweep over 1D rates; rates inside the collapse interval
     are skipped and marked rather than simulated."""
     rows = []
-    for b in betas:
-        params = OuParams(float(b))
+    for b in map(float, betas):
         try:
-            rep = run_efficiency_1d(params, config)
+            rep, collapsed = run_efficiency_1d(OuParams(b), config), False
         except CollapsedDesignError:
-            rows.append(
-                EffCurvePoint(float(b), math.nan, math.nan, math.nan, math.nan, True)
-            )
-            continue
-        rows.append(
-            EffCurvePoint(
-                float(b),
-                rep.mse_k,
-                rep.mse_d,
-                rep.eff_percent,
-                rep.mc_standard_error,
-                False,
-            )
-        )
+            rep, collapsed = EffReport(math.nan, math.nan, math.nan, math.nan), True
+        rows.append(EffCurvePoint(b, **vars(rep), collapsed=collapsed))
     return rows

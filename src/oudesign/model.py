@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import NearSingularDesignError, ValidationError
+from .exceptions import NearSingularDesignError, NumericalError, ValidationError
 
 __all__ = [
     "OuParams",
@@ -62,6 +62,23 @@ def _check_count(name: str, value, minimum: int) -> int:
     return int(value)
 
 
+def _variance(sigma: float, scale: float) -> float:
+    """``sigma**2 / scale``, or inf where the square leaves the double range."""
+    try:
+        return sigma**2 / scale
+    except OverflowError:
+        return math.inf
+
+
+def _noise_sd(params) -> float:
+    """Standard deviation of the stationary noise, once it is finite."""
+    if (sd := math.sqrt(params.stationary_variance)) == math.inf:
+        raise NumericalError(
+            f"noise standard deviation overflows double precision at sigma {params.sigma:g}"
+        )
+    return sd
+
+
 @dataclass(frozen=True)
 class OuParams:
     """Covariance parameters of the 1D driving process.
@@ -80,7 +97,7 @@ class OuParams:
 
     @property
     def stationary_variance(self) -> float:
-        return self.sigma**2 / (2.0 * self.beta)
+        return _variance(self.sigma, 2.0 * self.beta)
 
 
 @dataclass(frozen=True)
@@ -103,7 +120,7 @@ class SheetParams:
 
     @property
     def stationary_variance(self) -> float:
-        return self.sigma**2 / (4.0 * self.beta * self.gamma)
+        return _variance(self.sigma, 4.0 * self.beta * self.gamma)
 
 
 @dataclass(frozen=True)
@@ -386,18 +403,20 @@ def sample_observations(
     of the axis factors).  No dense covariance is formed, so memory is
     O(count * n_points), and output is reproducible bit for bit for a
     given ``seed`` (an int or a ``numpy.random.SeedSequence``).
-    Near-coincident points raise :class:`NearSingularDesignError`.
+    Near-coincident points raise :class:`NearSingularDesignError`, and a
+    noise standard deviation past the double range :class:`NumericalError`.
 
     Returns an array of shape ``(count, n_points)``.
     """
     count = _check_count("count", count, 1)
     axes = _axes(params, design)
     mean = trend.mean(design)
+    sd = _noise_sd(params)
     rng = np.random.Generator(np.random.Philox(seed))
     z = rng.standard_normal((count, mean.size))
     grid = z.reshape((count,) + tuple(axis_design.n for _, axis_design in axes))
     for axis, (beta, axis_design) in enumerate(axes, start=1):
         _apply_ar1_factor(beta, axis_design, grid, axis)
-    z *= math.sqrt(params.stationary_variance)
+    z *= sd
     z += mean
     return z

@@ -399,6 +399,28 @@ def test_vanishing_noise_exits_3(runner, extra):
     assert "simulated MSE" in run_error(runner, argv, 3)
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--beta", "10", "--sigma", "1e200"], "noise standard deviation overflows"),
+    (["--beta", "10", "--gamma", "10", "--sigma", "1e200"], "noise standard deviation overflows"),
+    (["--beta", "20", "--sigma", "1.2e154"], "simulated MSE is inf"),
+], ids=["process", "sheet", "squares"])
+def test_noise_past_the_double_range_exits_3(runner, argv, message):
+    # the stationary variance overflows, or the squared errors do
+    argv = ["--format", "json", "simulate", "eff", *argv, "--reps", "100"]
+    assert message in run_error(runner, argv, 3)
+
+
+def test_json_writes_an_overflowed_number_as_null(runner):
+    # squares of errors near 1e158 are finite, their deviations' squares
+    # are not: the SE overflows, and JSON has no Infinity
+    argv = ["--format", "json", "simulate", "eff", "--beta", "20", "--sigma", "1e80",
+            "--reps", "100"]
+    out = run_ok(runner, argv)
+    doc = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in the JSON"))
+    (row,) = doc["rows"]
+    assert math.isfinite(row[1]) and math.isfinite(row[3]) and row[4] is None
+
+
 # An option given where it does not apply, by command: the argv and the
 # error's message.
 IGNORED_OPTIONS = {

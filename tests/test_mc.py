@@ -1,7 +1,10 @@
+import json
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from oudesign import (
     CollapsedDesignError,
@@ -13,6 +16,7 @@ from oudesign import (
     SheetParams,
     TrendParams,
     ValidationError,
+    collapse_interval,
     efficiency_curve,
     fim_1d,
     fim_2d,
@@ -22,7 +26,8 @@ from oudesign import (
     sample_observations,
 )
 from oudesign._reference import gls_dense
-from oudesign.mc import _design_stream
+from oudesign.cli import main
+from oudesign.mc import _design_stream, _gls_map, _simulated_mse
 from helpers import TABLE1_CELLS, random_design
 
 
@@ -392,3 +397,61 @@ def test_vanishing_noise_raises_numerical_error(run, params):
     # noise of ~1e-51 vanishes against the unit trend: both MSEs come out 0
     with pytest.raises(NumericalError, match="simulated MSE"):
         run(params, McConfig(replicates=20))
+
+
+def _row_major_mse(params, design, replicates, seed):
+    """The simulated MSE and SE as computed with one row per replicate and a
+    trend vector of ones; each row's mean is written out as its sum in
+    coefficient order over p, which fixes its rounding on any numpy."""
+    gls_map = _gls_map(params, design)
+    rng = np.random.Generator(np.random.Philox(_design_stream(seed, design)))
+    err = rng.standard_normal((replicates, gls_map.shape[1])) @ gls_map.T
+    coef = np.ones(len(gls_map))
+    err *= math.sqrt(params.stationary_variance)
+    err += coef
+    err -= coef
+    e = np.square(err).T
+    per_replicate = ((e[0] + e[1]) + e[2] if len(e) == 3 else e[0] + e[1]) / len(e)
+    se = per_replicate.std(ddof=1) / math.sqrt(replicates) if replicates > 1 else math.nan
+    return float(per_replicate.mean()), float(se)
+
+
+@pytest.mark.parametrize("replicates", [1, 2, 777])
+@pytest.mark.parametrize(
+    "params,design",
+    [(OuParams(20.0, sigma=0.25), Design1D((0.0, 0.3, 1.0))),
+     (SheetParams(10.0, 15.0, sigma=0.25), GridDesign2D((0.0, 0.4, 1.0), (0.0, 0.6, 1.0))),
+     (SheetParams(0.05, 3.0, sigma=0.25), GridDesign2D((0.0, 0.2, 0.5, 1.0), (0.0, 0.7, 1.0)))],
+    ids=["3-point", "3x3", "4x3"],
+)
+def test_simulated_mse_equals_the_row_major_expression(params, design, replicates):
+    # one row per coefficient changes the memory order, not a single bit
+    for seed in range(10):
+        mse, se = _simulated_mse(params, design, replicates, seed)
+        ref_mse, ref_se = _row_major_mse(params, design, replicates, seed)
+        assert mse == ref_mse, seed
+        assert se == ref_se or (replicates == 1 and math.isnan(se) and math.isnan(ref_se)), seed
+
+
+def test_table1_rows_equal_the_per_cell_runs():
+    runner = CliRunner()
+
+    def rows(*argv):
+        result = runner.invoke(main, ["--format", "json", "simulate", *argv,
+                                      "--reps", "300", "--seed", "7"])
+        assert result.exit_code == 0, result.output
+        return json.loads(result.output)["rows"]
+
+    table = rows("table1")
+    assert [tuple(row[1:3]) for row in table] == list(TABLE1_CELLS)
+    for row in table:
+        (cell,) = rows("eff", "--beta", repr(row[1]), "--gamma", repr(row[2]))
+        assert cell == row[1:]
+
+
+def test_efficiency_curve_collapses_exactly_on_the_collapse_interval():
+    betas = np.linspace(0.3, 6.0, 40)
+    rows = efficiency_curve(betas, McConfig(replicates=2, seed=1))
+    interval = collapse_interval()
+    assert [r.collapsed for r in rows] == [interval.contains(b) for b in betas]
+    assert 0 < sum(r.collapsed for r in rows) < len(rows)

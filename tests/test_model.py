@@ -7,6 +7,7 @@ from oudesign import (
     Design1D,
     GridDesign2D,
     NearSingularDesignError,
+    NumericalError,
     OuParams,
     SheetParams,
     TrendParams,
@@ -41,6 +42,29 @@ def test_params_validation():
         SheetParams(1.0, 0.0)
     assert OuParams(2.0, 3.0).stationary_variance == pytest.approx(9.0 / 4.0)
     assert SheetParams(2.0, 5.0, 2.0).stationary_variance == pytest.approx(0.1)
+
+
+def test_stationary_variance_is_inf_past_the_double_range():
+    # float ** 2 raises OverflowError there; finite values keep sigma**2's
+    # rounding, which differs from sigma * sigma for about one sigma in 1000
+    assert OuParams(10.0, 1e200).stationary_variance == math.inf
+    assert SheetParams(10.0, 10.0, 1e200).stationary_variance == math.inf
+    rng = np.random.default_rng(7)
+    for sigma in 10.0 ** rng.uniform(-100, 150, 2000):
+        sigma = float(sigma)
+        assert OuParams(3.0, sigma).stationary_variance == sigma**2 / (2.0 * 3.0)
+        assert SheetParams(3.0, 0.7, sigma).stationary_variance == sigma**2 / (4.0 * 3.0 * 0.7)
+
+
+@pytest.mark.parametrize(
+    "params,design",
+    [(OuParams(10.0, 1e200), Design1D((0.0, 1.0))),
+     (SheetParams(10.0, 10.0, 1e200), GridDesign2D((0.0, 1.0), (0.0, 1.0)))],
+)
+def test_sampler_rejects_noise_past_the_double_range(params, design):
+    trend = TrendParams(*[0.0] * (1 + len(design.axes)))
+    with pytest.raises(NumericalError, match="noise standard deviation overflows"):
+        sample_observations(params, design, trend, 3, seed=0)
 
 
 def test_design_validation_and_sorting():
