@@ -288,9 +288,7 @@ def cmd_double(model, beta, gamma, n, m, mode):
         report = asymptotics.doubling_ratio_2d(SheetParams(beta, gamma), n, m, mode)
     rows = [(
         report.mode, report.n, report.m if report.m is not None else "",
-        report.ratio_det, report.ratio_cond,
-        report.limit_det if report.limit_det is not None else "",
-        report.limit_cond if report.limit_cond is not None else "",
+        report.ratio_det, report.ratio_cond, report.limit_det, report.limit_cond,
     )]
     _emit(["mode", "n", "m", "ratio_det", "ratio_cond", "limit_det", "limit_cond"], rows)
 
@@ -301,7 +299,8 @@ def cmd_double(model, beta, gamma, n, m, mode):
 @click.option("--param-max", type=float, default=50.0, show_default=True)
 @click.option("--grid-size", type=int, default=40, show_default=True)
 def cmd_surface(mode, param_min, param_max, grid_size):
-    """Numeric condition-number doubling-limit surface over a rate grid."""
+    """Extrapolated condition-number doubling-limit surface over a rate
+    grid, with each cell's distance from the exact limit."""
     grid = _param_range(param_min, param_max, grid_size, log=True)
     cells = asymptotics.cond_limit_surface_2d(grid, grid, mode=mode)
     rows = [(c.beta, c.gamma, c.estimate, c.error_estimate, c.converged) for c in cells]

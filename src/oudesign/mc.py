@@ -175,8 +175,13 @@ def _simulated_mse(params, design, replicates, seed):
             f"simulated MSE is {mse:g}: noise of standard deviation {sd:.3g} {fate} "
             "in double precision"
         )
-    se = float(per_replicate.std(ddof=1) / math.sqrt(replicates)) if replicates > 1 else float("nan")
-    return mse, se
+    if replicates == 1:
+        return mse, float("nan")
+    with np.errstate(over="ignore"):  # squared deviations overflow from an MSE of about 1e154
+        spread = per_replicate.std(ddof=1)
+        if not np.isfinite(spread):
+            spread = mse * (per_replicate / mse).std(ddof=1)
+    return mse, float(spread / math.sqrt(replicates))
 
 
 def _efficiency(params, design_pair, config: McConfig) -> EffReport:

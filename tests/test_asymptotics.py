@@ -1,9 +1,12 @@
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
 from oudesign import (
+    Design1D,
     OuParams,
     SheetParams,
     ValidationError,
@@ -17,7 +20,10 @@ from oudesign import (
     doubling_ratio_2d,
     fim_entries_equidistant_1d,
 )
-from oudesign.asymptotics import SURFACE_N_SEQUENCE, SURFACE_TOL
+from oudesign._reference import fim_definitional_1d
+from oudesign.asymptotics import SURFACE_N_SEQUENCE, SURFACE_TOL, _window_entries
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_limit_d_values():
@@ -138,7 +144,8 @@ def test_doubling_2d_domain_modes():
     target = domain_doubling_limit_d_axis(1.0) * domain_doubling_limit_d_axis(2.0)
     assert both.limit_det == pytest.approx(target, rel=1e-14)
     assert both.ratio_det == pytest.approx(target, abs=2e-2)
-    assert both.limit_cond is None
+    assert both.limit_cond == pytest.approx(1.9238566629781695, rel=1e-14)
+    assert both.ratio_cond == pytest.approx(both.limit_cond, abs=2e-2)
     one = doubling_ratio_2d(params, 200, 200, "domain-one")
     assert one.ratio_det == pytest.approx(domain_doubling_limit_d_axis(1.0), abs=2e-2)
 
@@ -179,18 +186,20 @@ def test_cond_limit_surface_symmetry_and_corner():
 @pytest.mark.parametrize("mode", ["both", "one"])
 def test_cond_limit_surface_matches_per_cell_ratios(mode):
     # the batched surface reproduces Richardson extrapolation of the
-    # per-cell doubling ratios
+    # per-cell doubling ratios, and its error is the distance to the
+    # per-cell exact limit
     grid = (1e-3, 0.3, 2.0, 40.0)
     cells = cond_limit_surface_2d(grid, grid[::-1], mode=mode)
     for c in cells:
         params = SheetParams(c.beta, c.gamma)
-        ratios = [
+        r1, r2 = (
             doubling_ratio_2d(params, k, k, "domain-" + mode).ratio_cond
             for k in SURFACE_N_SEQUENCE
-        ]
-        ex = [2.0 * r2 - r1 for r1, r2 in zip(ratios, ratios[1:])]
-        assert c.estimate == pytest.approx(ex[-1], rel=1e-12)
-        assert c.error_estimate == pytest.approx(abs(ex[-1] - ex[-2]), abs=1e-12 * ex[-1])
+        )
+        assert c.estimate == pytest.approx(2.0 * r2 - r1, rel=1e-12)
+        limit = doubling_ratio_2d(params, 2, 2, "domain-" + mode).limit_cond
+        assert c.error_estimate == abs(c.estimate - limit)
+        assert c.converged == (c.error_estimate <= SURFACE_TOL)
 
 
 def test_cond_limit_surface_equals_its_transpose():
@@ -221,7 +230,7 @@ def test_cond_limit_surface_validation():
 
 def test_cond_limit_surface_flags_nonconvergence():
     # a cell whose extrapolation error exceeds SURFACE_TOL is reported,
-    # not silently accepted (its error estimate is about 2.3e-3)
+    # not silently accepted (its error is about 1.016e-3)
     cells = cond_limit_surface_2d([316.2277660168379], [10.0], mode="one")
     assert not cells[0].converged
     assert cells[0].error_estimate > SURFACE_TOL
@@ -280,3 +289,127 @@ def test_det_factor_validation():
         det_decomposition_factor("J", 1, 1.0)
     with pytest.raises(ValidationError):
         det_decomposition_factor("J", 3, -1.0)
+
+
+@pytest.mark.parametrize("beta", [0.1, 1.0, 7.0, 50.0])
+@pytest.mark.parametrize("window", [1.0, 2.0])
+def test_window_entries_are_the_dense_partitions_limit(beta, window):
+    # equidistant partitions of [0, T] converge in (beta*T/n)^2; from
+    # beta*T/n <= 0.1 on, one extrapolation step leaves about 2e-7
+    def partition_entries(n):
+        design = Design1D(tuple(np.linspace(0.0, window, n + 1)))
+        fim = fim_definitional_1d(OuParams(beta), design)
+        return np.array([fim[0, 0], fim[0, 1], fim[1, 1]])
+
+    n = max(64, 8 * math.ceil(1.25 * beta * window))
+    limit = (4.0 * partition_entries(2 * n) - partition_entries(n)) / 3.0
+    entries = _window_entries(beta, window)
+    scale = max(1.0, beta) ** 2 / beta
+    assert np.array([entries.l1, entries.l2, entries.l3]) * scale == pytest.approx(limit, rel=1e-6)
+
+
+def test_window_entries_stay_finite_and_normal_at_every_rate():
+    tiny = np.finfo(float).tiny
+    for beta in [10.0**k for k in range(-300, 301, 10)] + [1.7976931348623157e308]:
+        for window in (1.0, 2.0):
+            e = _window_entries(beta, window)
+            assert all(tiny <= v < math.inf for v in (e.l1, e.l2, e.l3)), (beta, window)
+
+
+def _limit_cond_50_digits(mpmath, beta, gamma, mode):
+    """The ratio of the grid condition numbers under continuous
+    observation of the doubled and the unit window, from 50-digit entries
+    and eigenvalues."""
+    def entries(rate, window):
+        b, w = mpmath.mpf(rate), mpmath.mpf(window)
+        return 1 + b * w / 2, w / 2 + b * w**2 / 4, w**2 / 2 + w / (2 * b) + b * w**3 / 6
+
+    def cond(s, t):
+        (l1, l2, l3), (m1, m2, m3) = s, t
+        fim = mpmath.matrix([[l1 * m1, l2 * m1, l1 * m2],
+                             [l2 * m1, l3 * m1, l2 * m2],
+                             [l1 * m2, l2 * m2, l1 * m3]])
+        w = sorted(mpmath.eigsy(fim, eigvals_only=True))
+        return w[-1] / w[0]
+
+    with mpmath.workdps(50):
+        t_wide = entries(gamma, 2 if mode == "domain-both" else 1)
+        return float(cond(entries(beta, 2), t_wide) / cond(entries(beta, 1), entries(gamma, 1)))
+
+
+@pytest.mark.parametrize("mode", ["domain-both", "domain-one"])
+@pytest.mark.parametrize("rates, rel", [
+    ((50.0, 50.0), 1e-14),
+    ((1e3, 1e3), 1e-14),
+    ((1e4, 1e-2), 1e-14),
+    ((1e-2, 1e4), 1e-14),
+    ((1e6, 1e6), 1e-14),
+    # the three eigenvalues are near-double here (the two smallest differ by
+    # about the rate), where the 3x3 kernel keeps only about half its digits:
+    # the limits read 1.4e-11 and 1.2e-11 off
+    ((1e-6, 1e-6), 1e-10),
+])
+def test_domain_limit_cond_matches_50_digit_eigenvalues(rates, rel, mode):
+    mpmath = pytest.importorskip("mpmath")
+    rep = doubling_ratio_2d(SheetParams(*rates), 2, 2, mode)
+    assert rep.limit_cond == pytest.approx(_limit_cond_50_digits(mpmath, *rates, mode), rel=rel)
+
+
+# doubling_ratio_2d rejects rates below 2e-12, whose scaled step 1/2 is
+# below MIN_SCALED_GAP
+LIMIT_EXPONENTS = (-11, -6, -1, 0, 1, 4, 7, 77, 154, 300)
+
+
+def test_domain_limit_det_is_the_product_of_the_axis_limits():
+    for i in LIMIT_EXPONENTS:
+        for j in LIMIT_EXPONENTS:
+            beta, gamma = 10.0**i, 10.0**j
+            both = doubling_ratio_2d(SheetParams(beta, gamma), 2, 2, "domain-both")
+            one = doubling_ratio_2d(SheetParams(beta, gamma), 2, 2, "domain-one")
+            axis = domain_doubling_limit_d_axis(beta), domain_doubling_limit_d_axis(gamma)
+            assert both.limit_det == pytest.approx(axis[0] * axis[1], rel=1e-14), (beta, gamma)
+            assert one.limit_det == pytest.approx(axis[0], rel=1e-14), (beta, gamma)
+
+
+def test_domain_limits_are_symmetric_in_the_rates_bit_for_bit():
+    for i in LIMIT_EXPONENTS:
+        for j in LIMIT_EXPONENTS:
+            a = doubling_ratio_2d(SheetParams(10.0**i, 10.0**j), 2, 2, "domain-both")
+            b = doubling_ratio_2d(SheetParams(10.0**j, 10.0**i), 2, 2, "domain-both")
+            assert (a.limit_det, a.limit_cond) == (b.limit_det, b.limit_cond), (i, j)
+
+
+def test_cond_limit_surface_is_not_converged_on_a_wrong_number():
+    # the (200, 400) extrapolant is 1.39e-3 off at (1e3, 1e3); the distance
+    # between the last two extrapolants read 7.9e-4 and passed SURFACE_TOL
+    (cell,) = cond_limit_surface_2d([1e3], [1e3], mode="both")
+    assert cell.error_estimate == pytest.approx(1.387e-3, rel=1e-3)
+    assert not cell.converged
+    (cell,) = cond_limit_surface_2d([1e4], [1e-2], mode="both")
+    assert cell.error_estimate == pytest.approx(1.734e-4, rel=1e-3)
+
+
+@pytest.mark.parametrize("mode", ["both", "one"])
+def test_cond_limit_surface_converges_on_the_cli_default_box(mode):
+    grid = np.geomspace(0.05, 50.0, 40)
+    cells = cond_limit_surface_2d(grid, grid, mode=mode)
+    assert all(c.converged for c in cells)
+    assert max(c.error_estimate for c in cells) < 2e-4
+
+
+def beyond_the_paper_rows():
+    """The rows of README's table of exact 2D condition-number limits."""
+    text = README.read_text(encoding="utf-8").split("## Beyond the paper", 1)[1]
+    rows = re.findall(r"^\| \(([^,]+), ([^)]+)\) \| ([\d.]+) \| ([\d.]+) \| ([\d.e-]+) \|$", text, re.M)
+    return [tuple(float(x) for x in row) for row in rows]
+
+
+def test_readme_exact_limits_beside_the_surface():
+    rows = beyond_the_paper_rows()
+    assert [row[:2] for row in rows] == [(10.0, 10.0), (50.0, 50.0), (1e3, 1e3)]
+    for beta, gamma, exact, estimate, distance in rows:
+        limit = doubling_ratio_2d(SheetParams(beta, gamma), 2, 2, "domain-both").limit_cond
+        (cell,) = cond_limit_surface_2d([beta], [gamma], mode="both")
+        assert round(limit, 7) == exact
+        assert round(cell.estimate, 7) == estimate
+        assert float(f"{cell.error_estimate:.1e}") == distance

@@ -412,13 +412,15 @@ def test_noise_past_the_double_range_exits_3(runner, argv, message):
 
 def test_json_writes_an_overflowed_number_as_null(runner):
     # squares of errors near 1e158 are finite, their deviations' squares
-    # are not: the SE overflows, and JSON has no Infinity
-    argv = ["--format", "json", "simulate", "eff", "--beta", "20", "--sigma", "1e80",
-            "--reps", "100"]
-    out = run_ok(runner, argv)
-    doc = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in the JSON"))
-    (row,) = doc["rows"]
-    assert math.isfinite(row[1]) and math.isfinite(row[3]) and row[4] is None
+    # are not: the SE is taken relative to the MSE and stays finite; one
+    # replicate has no SE (nan), and JSON has no NaN or Infinity
+    argv = ["--format", "json", "simulate", "eff", "--beta", "20", "--sigma", "1e80"]
+    for reps, se_is_finite in (("100", True), ("1", False)):
+        out = run_ok(runner, [*argv, "--reps", reps])
+        doc = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in the JSON"))
+        (row,) = doc["rows"]
+        assert math.isfinite(row[1]) and math.isfinite(row[3])
+        assert math.isfinite(row[4]) if se_is_finite else row[4] is None
 
 
 # An option given where it does not apply, by command: the argv and the

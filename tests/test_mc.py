@@ -433,6 +433,19 @@ def test_simulated_mse_equals_the_row_major_expression(params, design, replicate
         assert se == ref_se or (replicates == 1 and math.isnan(se) and math.isnan(ref_se)), seed
 
 
+def test_simulated_se_is_finite_where_squared_deviations_overflow():
+    # at sigma 1e80 the MSE is near 4e158: the squared errors are finite, the
+    # squared deviations behind its SE are not, and the SE is taken relative
+    # to the MSE instead; it is the unit-noise SE of the same draws, scaled
+    design = Design1D((0.0, 0.3, 1.0))
+    mse, se = _simulated_mse(OuParams(20.0, sigma=1e80), design, 100, 0)
+    unit_mse, unit_se = _simulated_mse(OuParams(20.0, sigma=1.0), design, 100, 0)
+    assert 0.0 < se < math.inf
+    assert se / mse == pytest.approx(unit_se / unit_mse, rel=1e-12)
+    report = run_efficiency_1d(OuParams(20.0), McConfig(replicates=100, sigma=1e80))
+    assert 0.0 < report.mc_standard_error < math.inf
+
+
 def test_table1_rows_equal_the_per_cell_runs():
     runner = CliRunner()
 
