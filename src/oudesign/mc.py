@@ -63,7 +63,8 @@ class McConfig:
     """Simulation settings.
 
     ``sigma`` is the noise scale of the simulated driving process (the
-    design optimizations themselves are scale-free).  ``design_pair``
+    design optimizations themselves are scale-free); it replaces the
+    params' own ``sigma``, which the simulation ignores.  ``design_pair``
     optionally overrides the (K-optimal, D-optimal) designs instead of
     searching for them.  The simulated trend is the constant 1: the GLS
     estimation error does not depend on the trend.
@@ -198,7 +199,8 @@ def _efficiency(params, design_pair, config: McConfig) -> EffReport:
 
 def run_efficiency_1d(params: OuParams, config: McConfig) -> EffReport:
     """Relative efficiency of the three-point restricted K-optimal design
-    against the equidistant D-optimal one, both on {0, ., 1}.
+    against the equidistant D-optimal one, both on {0, ., 1}, simulated
+    at ``config.sigma`` (not ``params.sigma``).
 
     Raises :class:`CollapsedDesignError` where the K search reports a
     collapse: for rates inside the collapse interval, where no
@@ -220,8 +222,9 @@ def run_efficiency_1d(params: OuParams, config: McConfig) -> EffReport:
 def run_efficiency_2d(params: SheetParams, config: McConfig) -> EffReport:
     """Relative efficiency of the nine-point restricted K-optimal grid
     against the directionally equidistant D-optimal one on the unit
-    square.  Raises :class:`CollapsedDesignError` inside the collapse
-    region of the rate plane."""
+    square, simulated at ``config.sigma`` (not ``params.sigma``).  Raises
+    :class:`CollapsedDesignError` inside the collapse region of the rate
+    plane."""
     pair = config.design_pair
     if pair is None:
         k_res = nine_point_restricted_2d(params, "K")

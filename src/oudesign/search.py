@@ -19,17 +19,20 @@ three-point K search takes its flag from them.
 
 The four scanning searches share one routine (:func:`_refine`): a scan on
 the open mesh of one or two axes, then zooming meshes of about 2^8 points
-around the scan's argmin, until the zoom is as fine as the search's fixed
-tolerance; each scan and zoom level is one criterion call, whose cost is
-per call rather than per point.  Unit axes are linear on [0, 1]; gap axes
-are log d from a lower end that follows the rate, so the tolerance is
-relative there.  A coordinate has collapsed when it refines to exactly 0
-or 1: the zoom grids contain the clipped boundary and ties break toward
-it.  Its boundary margin is measured against the same design with the
+around the scan's argmin, until the zoom is as fine as the tolerance;
+each scan and zoom level is one criterion call, whose cost is per call
+rather than per point.  Scan size and tolerance are set per model
+(SCAN_POINTS, REFINE_TOL), and two rules build every result, with every
+evaluation under one errstate.  Unit coordinates (:func:`_unit_search`)
+are linear on [0, 1]; one has collapsed when it refines to exactly 0 or
+1 (the zoom grids contain the clipped boundary and ties break toward it),
+and its boundary margin is measured against the same design with the
 collapsed coordinates moved MARGIN_STEP inside, so it does not depend on
-the scan.  2D values are grouped so that swapping the two axes (and
-rates) is bitwise exact, and ties go to the smallest sorted coordinates,
-so the swapped search takes the swapped path.
+the scan.  Gaps (:func:`_gap_search`) are log d from a lower end that
+follows the rate, so the tolerance is relative there.  2D values are
+grouped so that swapping the two axes (and rates) is bitwise exact, and
+ties go to the smallest sorted coordinates, so the swapped search takes
+the swapped path.
 """
 
 from __future__ import annotations
@@ -72,17 +75,12 @@ TWO_POINT_MIN_RATE = 1e-75
 REFINE_POINTS = (257, 17)  # points per axis of a refine level, on one axis and on two
 MAX_REFINE_PASSES = 3
 EDGE_GAIN_RTOL = 1e-12  # criterion rounding is ~1e-15 relative
-# Search settings, fixed for the library and the CLI.  The 2D scans only
+# Search settings per model (process, sheet), fixed for the library and the
+# CLI: scan points per axis and refine tolerance.  The sheet's scans only
 # have to land in the optimum's basin (a 31-point nine-point scan misses
 # the one at rates (1e7, 1), 2.2e-7 relative); the refine sets the precision.
-THREE_POINT_GRID_RESOLUTION = 2001
-THREE_POINT_REFINE_TOL = 1e-10
-NINE_POINT_GRID_RESOLUTION = 41
-NINE_POINT_REFINE_TOL = 1e-8
-FOUR_POINT_GRID_RESOLUTION = 41
-FOUR_POINT_TOL = 1e-8
-EQUIDISTANT_GRID_RESOLUTION = 2001
-EQUIDISTANT_TOL = 1e-10
+SCAN_POINTS = (2001, 41)
+REFINE_TOL = (1e-10, 1e-8)
 MARGIN_STEP = 0.005  # how far inside a collapsed coordinate's margin looks
 
 
@@ -294,16 +292,58 @@ def _log_axis(lo, hi, points, rate):
     return np.linspace(math.log(lo), math.log(hi), points)
 
 
-def _collapse(f, point, value):
-    """Per-coordinate collapse (refined exactly to 0 or 1), the boundary
-    margin over the same design with each collapsed coordinate moved
-    MARGIN_STEP inside, and the evaluations spent on it (0 or 1)."""
-    axes = tuple(c in (0.0, 1.0) for c in point)
-    if not any(axes):
-        return axes, 0.0, 0
-    # 0 -> MARGIN_STEP and 1 -> 1 - MARGIN_STEP
-    inside = [abs(c - MARGIN_STEP) if collapsed else c for c, collapsed in zip(point, axes)]
-    return axes, (float(f(*inside)) - value) / abs(value), 1
+# Every criterion evaluation of a search: extreme rates end in the package's
+# errors (NumericalError, SingularFimError), not in numpy warnings first.
+_QUIET = {"divide": "ignore", "over": "ignore", "invalid": "ignore"}
+
+
+def _unit_search(f, crit, rates, find=None):
+    """Result of a search over the free coordinates d of {0, d, 1}, one
+    unit axis per rate.  f is minimized (a D search passes minus its
+    criterion); ``find(axes, tol)``, by default a scan and refine of f,
+    returns (point, value, evaluations)."""
+    model = len(rates) - 1
+    axes = (np.linspace(0.0, 1.0, SCAN_POINTS[model]),) * len(rates)
+    with np.errstate(**_QUIET):
+        point, value, evaluations = (find or functools.partial(_scan_refine, f))(
+            axes, REFINE_TOL[model])
+        collapsed, margin = tuple(c in (0.0, 1.0) for c in point), 0.0
+        if any(collapsed):
+            # 0 -> MARGIN_STEP and 1 -> 1 - MARGIN_STEP
+            inside = [abs(c - MARGIN_STEP) if k else c for c, k in zip(point, collapsed)]
+            margin, evaluations = (float(f(*inside)) - value) / abs(value), evaluations + 1
+    return SearchResult(
+        argopt=point if model else point[0],
+        value=_checked_value(-value if crit == "D" else value, crit, *rates),
+        converged=True,
+        collapsed=any(collapsed),
+        iterations=evaluations,
+        bracket=((0.0, 1.0),) * len(rates) if model else (0.0, 1.0),
+        collapsed_axes=collapsed if model else None,
+        boundary_margin=margin,
+    )
+
+
+def _gap_search(f, rates, windows):
+    """Result of a K search over gaps d > 0, one log-d axis per rate over
+    its window (lo, hi); an optimum pinned at a window's end has not
+    converged."""
+    model = len(rates) - 1
+    axes = tuple(_log_axis(lo, hi, SCAN_POINTS[model], rate)
+                 for (lo, hi), rate in zip(windows, rates))
+    with np.errstate(**_QUIET):
+        u, value, evaluations = _scan_refine(f, axes, REFINE_TOL[model])
+    gaps = tuple(math.exp(c) for c in u)
+    return SearchResult(
+        argopt=gaps if model else gaps[0],
+        value=_checked_value(value, "K", *rates),
+        converged=not any(c in (a[0], a[-1]) for c, a in zip(u, axes)),
+        collapsed=False,
+        iterations=evaluations,
+        bracket=windows if model else windows[0],
+        collapsed_axes=(False,) * len(rates) if model else None,
+        boundary_margin=0.0,
+    )
 
 
 def three_point_restricted_1d(params: OuParams, criterion: str = "D") -> SearchResult:
@@ -325,21 +365,12 @@ def three_point_restricted_1d(params: OuParams, criterion: str = "D") -> SearchR
         e = _points_entries(beta, _free_point_design(d))
         return -d_objective_1d(e) if crit == "D" else k_objective_1d(e)
 
+    find = None
     if crit == "K" and collapse_interval().contains(beta):
-        x, fx, evaluations = 0.0, float(f(0.0)), 1
-    else:
-        axis = np.linspace(0.0, 1.0, THREE_POINT_GRID_RESOLUTION)
-        (x,), fx, evaluations = _scan_refine(f, (axis,), THREE_POINT_REFINE_TOL)
-    (collapsed,), margin, extra = _collapse(f, (x,), fx)
-    return SearchResult(
-        argopt=x,
-        value=_checked_value(-fx if crit == "D" else fx, crit, beta),
-        converged=True,
-        collapsed=collapsed,
-        iterations=evaluations + extra,
-        bracket=(0.0, 1.0),
-        boundary_margin=margin,
-    )
+        def find(axes, tol):
+            return (0.0,), float(f(0.0)), 1
+
+    return _unit_search(f, crit, (beta,), find)
 
 
 def _check_criterion(criterion: str) -> str:
@@ -409,32 +440,19 @@ def equidistant_k_optimal_1d(params: OuParams, n: int) -> SearchResult:
 
     The condition number diverges for both vanishing and growing steps,
     so a global minimum exists.  A scan in log d is refined around its
-    argmin to EQUIDISTANT_TOL relative; an optimum pinned at the scan
+    argmin to REFINE_TOL[0] relative; an optimum pinned at the scan
     window's end reports ``converged=False``.
     """
     n = _check_count("n", n, 2)
     beta = params.beta
 
-    # At small rates the optimal step shrinks like rate/(n-1); the scan
-    # window follows it.
-    lo, hi = min(1e-4, 1e-2 * beta / (n - 1)), 1e4
-    axis = _log_axis(lo, hi, EQUIDISTANT_GRID_RESOLUTION, beta)
-
     def f(u):
         return k_objective_1d(_equidistant_entries(beta, np.exp(u), n))
 
-    # Entries that overflow near rate 1e-300 fail the det check: SingularFimError.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        (u,), value, evaluations = _scan_refine(f, (axis,), EQUIDISTANT_TOL)
-    return SearchResult(
-        argopt=math.exp(u),
-        value=_checked_value(value, "K", beta),
-        converged=u not in (axis[0], axis[-1]),
-        collapsed=False,
-        iterations=evaluations,
-        bracket=(lo, hi),
-        boundary_margin=0.0,
-    )
+    # At small rates the optimal step shrinks like rate/(n-1); the scan
+    # window follows it.  Entries that overflow near rate 1e-300 fail the
+    # det check: SingularFimError.
+    return _gap_search(f, (beta,), ((min(1e-4, 1e-2 * beta / (n - 1)), 1e4),))
 
 
 def equidistant_d_monotone_check(params: OuParams, n: int, d_grid) -> bool:
@@ -460,7 +478,6 @@ def nine_point_restricted_2d(params: SheetParams, criterion: str = "D") -> Searc
     """
     crit = _check_criterion(criterion)
     beta, gamma = params.beta, params.gamma
-    grid = np.linspace(0.0, 1.0, NINE_POINT_GRID_RESOLUTION)
 
     if crit == "D":
 
@@ -476,29 +493,20 @@ def nine_point_restricted_2d(params: SheetParams, criterion: str = "D") -> Searc
         def f2(d, dl):
             return -(fs(d) * ft(dl))
 
-        ((x,), fx, ex), ((y,), fy, ey) = (
-            _scan_refine(f, (grid,), NINE_POINT_REFINE_TOL) for f in (fs, ft)
-        )
-        point, fxy, evaluations = (x, y), -(fx * fy), ex + ey
-    else:
+        def find(axes, tol):  # one scan and refine per axis
+            ((x,), fx, ex), ((y,), fy, ey) = (
+                _scan_refine(f, (axis,), tol) for f, axis in zip((fs, ft), axes)
+            )
+            return (x, y), -(fx * fy), ex + ey
 
-        def f2(d, dl):
-            s = _points_entries(beta, _free_point_design(d))
-            t = _points_entries(gamma, _free_point_design(dl))
-            return _cond3_from_entries(FimEntries2D(s, t))[0]
+        return _unit_search(f2, crit, (beta, gamma), find)
 
-        point, fxy, evaluations = _scan_refine(f2, (grid, grid), NINE_POINT_REFINE_TOL)
-    collapsed_axes, margin, extra = _collapse(f2, point, fxy)
-    return SearchResult(
-        argopt=point,
-        value=_checked_value(-fxy if crit == "D" else fxy, crit, beta, gamma),
-        converged=True,
-        collapsed=any(collapsed_axes),
-        iterations=evaluations + extra,
-        bracket=((0.0, 1.0), (0.0, 1.0)),
-        collapsed_axes=collapsed_axes,
-        boundary_margin=margin,
-    )
+    def f2(d, dl):
+        s = _points_entries(beta, _free_point_design(d))
+        t = _points_entries(gamma, _free_point_design(dl))
+        return _cond3_from_entries(FimEntries2D(s, t))[0]
+
+    return _unit_search(f2, crit, (beta, gamma))
 
 
 def four_point_grid_k_optimal(params: SheetParams) -> SearchResult:
@@ -506,30 +514,17 @@ def four_point_grid_k_optimal(params: SheetParams) -> SearchResult:
     {0, d} x {0, delta} over the open quarter plane.
 
     Each axis is scanned in log d from min(1e-3, rate/10) up to 1e3 and
-    refined to FOUR_POINT_TOL relative; an optimum pinned at a scan
+    refined to REFINE_TOL[1] relative; an optimum pinned at a scan
     window's end reports ``converged=False``.
     """
     beta, gamma = params.beta, params.gamma
-    windows = tuple((min(1e-3, 0.1 * rate), 1e3) for rate in (beta, gamma))
-    axes = tuple(_log_axis(lo, hi, FOUR_POINT_GRID_RESOLUTION, rate)
-                 for (lo, hi), rate in zip(windows, (beta, gamma)))
 
     def f2(u, v):
         s, t = _equidistant_entries(beta, np.exp(u), 2), _equidistant_entries(gamma, np.exp(v), 2)
         return _cond3_from_entries(FimEntries2D(s, t))[0]
 
-    (u, v), value, evaluations = _scan_refine(f2, axes, FOUR_POINT_TOL)
-    pinned = any(c in (a[0], a[-1]) for c, a in zip((u, v), axes))
-    return SearchResult(
-        argopt=(math.exp(u), math.exp(v)),
-        value=_checked_value(value, "K", beta, gamma),
-        converged=not pinned,
-        collapsed=False,
-        iterations=evaluations,
-        bracket=windows,
-        collapsed_axes=(False, False),
-        boundary_margin=0.0,
-    )
+    windows = tuple((min(1e-3, 0.1 * rate), 1e3) for rate in (beta, gamma))
+    return _gap_search(f2, (beta, gamma), windows)
 
 
 @dataclass(frozen=True)

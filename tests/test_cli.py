@@ -3,14 +3,17 @@ import math
 from pathlib import Path
 
 import click
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from oudesign import (
     OuParams,
     Design1D,
+    SheetParams,
     asymptotics,
     fim_entries_1d,
+    nine_point_restricted_2d,
     three_point_restricted_1d,
     two_point_k_optimal,
 )
@@ -354,6 +357,52 @@ def test_bad_grid_resolution_exits_2(runner):
 def test_zero_counts_are_rejected_not_defaulted(runner, argv, message):
     # an explicit 0 is bad input, not "use the other count"
     assert message in run_error(runner, argv, 2)
+
+
+KOPT_NINE = ["asymptotics", "kopt-curve", "--family", "nine-point", "--beta-min", "1",
+             "--beta-max", "2", "--points", "2"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["fim", "--model", "process", "--beta", "1"], "--design is required for --model process"),
+    (["fim", "--model", "sheet", "--beta", "1", "--grid", "0,1x0,1"],
+     "--gamma and --grid are required for --model sheet"),
+    (["fim", "--model", "sheet", "--beta", "1", "--gamma", "2"],
+     "--gamma and --grid are required for --model sheet"),
+    (["fim", "--model", "process", "--beta", "1", "--design", "0,half,1"],
+     "cannot parse design points '0,half,1'"),
+    (["fim", "--model", "sheet", "--beta", "1", "--gamma", "2", "--grid", "0,1"],
+     "grid spec must look like"),
+    (["fim", "--model", "sheet", "--beta", "1", "--gamma", "2", "--grid", "0,1x0,1x0,1"],
+     "grid spec must look like"),
+    (["asymptotics", "double", "--model", "sheet", "--beta", "1", "--n", "4",
+      "--mode", "infill-both"], "--gamma is required for --model sheet"),
+    (KOPT_NINE, "nine-point curves need --gamma-min/--gamma-max"),
+    ([*KOPT_NINE, "--gamma-min", "1"], "nine-point curves need --gamma-min/--gamma-max"),
+    (["asymptotics", "kopt-curve", "--family", "three-point", "--beta-min", "0",
+      "--beta-max", "2", "--points", "2", "--log"], "log-spaced ranges need lo > 0"),
+    (["asymptotics", "kopt-curve", "--family", "three-point", "--beta-min", "-1",
+      "--beta-max", "2", "--points", "2", "--log"], "log-spaced ranges need lo > 0"),
+], ids=["fim-process-design", "fim-sheet-gamma", "fim-sheet-grid", "fim-design-parse",
+        "fim-grid-one-part", "fim-grid-three-parts", "double-sheet-gamma", "nine-point-gammas",
+        "nine-point-gamma-max", "log-zero-min", "log-negative-min"])
+def test_missing_or_malformed_input_exits_2(runner, argv, message):
+    assert run_error(runner, argv, 2).startswith(f"error: {message}")
+
+
+def test_nine_point_kopt_curve_rows_are_the_searches(runner):
+    argv = ["--format", "json", "asymptotics", "kopt-curve", "--family", "nine-point",
+            "--beta-min", "10", "--beta-max", "30", "--gamma-min", "0.05", "--gamma-max", "2",
+            "--points", "2", "--gamma-points", "3", "--log"]
+    doc = json.loads(run_ok(runner, argv))
+    assert doc["columns"] == ["beta", "gamma", "d_opt", "delta_opt", "k_value", "collapsed_s",
+                              "collapsed_t"]
+    cells = [(b, g) for b in np.geomspace(10, 30, 2) for g in np.geomspace(0.05, 2, 3)]
+    assert len(doc["rows"]) == len(cells)
+    for row, (b, g) in zip(doc["rows"], cells):
+        res = nine_point_restricted_2d(SheetParams(b, g), "K")
+        expected = [b, g, *res.argopt, res.value, *res.collapsed_axes]
+        assert row == [float(f"{v:.12g}") if isinstance(v, float) else v for v in expected]
 
 
 def test_negative_seed_exits_2(runner):

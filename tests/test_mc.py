@@ -188,6 +188,19 @@ def test_efficiency_1d_collapse_error():
         run_efficiency_1d(OuParams(2.0), McConfig(replicates=10))
 
 
+@pytest.mark.parametrize("run,params", [
+    (run_efficiency_1d, lambda sigma: OuParams(20.0, sigma=sigma)),
+    (run_efficiency_2d, lambda sigma: SheetParams(10.0, 10.0, sigma=sigma)),
+], ids=["1d", "2d"])
+def test_efficiency_simulates_at_the_config_sigma_not_the_params(run, params):
+    # McConfig.sigma replaces the params' sigma: the report is the same
+    # bit for bit whatever the params say, and moves with the config
+    config = McConfig(replicates=500, seed=3)
+    report = run(params(1.0), config)
+    assert run(params(2.0), config) == report
+    assert run(params(1.0), replace(config, sigma=0.5)).mse_k != report.mse_k
+
+
 def test_efficiency_determinism():
     config = McConfig(replicates=2000, seed=9)
     a = run_efficiency_1d(OuParams(20.0), config)

@@ -361,6 +361,19 @@ def test_trend_arity_must_match_design():
         sample_observations(SheetParams(1.0, 1.0), grid, TrendParams(1.0, 1.0), 2, 0)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: Design1D((0.0, "half")), "design points must be reals"),
+    (lambda: Design1D((0.0, 1j)), "design points must be reals"),
+    (lambda: TrendParams(math.nan, 1.0), "alpha0 must be finite"),
+    (lambda: TrendParams(1.0, 1.0, -math.inf), "alpha2 must be finite"),
+    (lambda: sample_observations(OuParams(1.0), (0.0, 1.0), TrendParams(0.0, 0.0), 1, seed=0),
+     "unsupported design type tuple"),
+], ids=["design-str", "design-complex", "trend-nan", "trend-inf", "sampler-tuple-design"])
+def test_malformed_inputs_raise_validation_error(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
 def test_trend_mean_evaluation_order():
     grid = GridDesign2D((0.0, 0.3, 1.0), (0.1, 0.7))
     trend = TrendParams(0.1, 0.7, -1.3)

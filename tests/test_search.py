@@ -8,6 +8,7 @@ from oudesign import (
     Design1D,
     FimEntries2D,
     NearSingularDesignError,
+    NumericalError,
     OuParams,
     SheetParams,
     SingularFimError,
@@ -32,12 +33,7 @@ from oudesign import (
 from oudesign import search
 from oudesign.fim import _equidistant_entries, _points_entries
 from oudesign.objectives import _cond3_from_entries
-from oudesign.search import (
-    FOUR_POINT_GRID_RESOLUTION,
-    NINE_POINT_GRID_RESOLUTION,
-    THREE_POINT_GRID_RESOLUTION,
-    TWO_POINT_MIN_RATE,
-)
+from oudesign.search import SCAN_POINTS, TWO_POINT_MIN_RATE
 from helpers import TABLE1_CELLS, grid_k_digits, k_60_digits, k_from_r
 
 # positive roots of the collapse equation, 4 decimals
@@ -84,6 +80,13 @@ def test_collapse_interval_matches_published_roots():
     assert abs(collapse_equation(ci.upper)) < 1e-6 * np.exp(4.0 * ci.upper)
 
 
+def test_collapse_interval_and_bisection_guards():
+    with pytest.raises(ValidationError, match="0 < lower < upper"):
+        search.CollapseInterval(2.0, 1.0)
+    with pytest.raises(ValidationError, match="no sign change"):
+        search._bisect(lambda x: x * x + 1.0, -1.0, 1.0)
+
+
 def test_collapse_interval_roots_to_the_last_bits():
     # bisection to the end of the sign change: both roots agree with a
     # 50-digit root of the same equation to within its rounding
@@ -118,7 +121,7 @@ def test_three_point_k_collapse_follows_the_collapse_equation():
                 assert res.boundary_margin > 0.0
                 assert res.iterations == 2
             else:
-                assert res.iterations > THREE_POINT_GRID_RESOLUTION
+                assert res.iterations > SCAN_POINTS[0]
 
 
 def test_boundary_slope_changes_sign_at_roots():
@@ -471,6 +474,24 @@ def test_equidistant_k_at_vanishing_rates_raises_singular_fim(rate, n):
         equidistant_k_optimal_1d(OuParams(rate), n)
 
 
+@pytest.mark.parametrize("search_call", [
+    lambda: nine_point_restricted_2d(SheetParams(1e-300, 1.0), "K"),
+    lambda: nine_point_restricted_2d(SheetParams(1e-160, 1e-160), "K"),
+    lambda: nine_point_restricted_2d(SheetParams(1.0, 1e-320), "D"),
+    lambda: nine_point_restricted_2d(SheetParams(1.0, 1e-320), "K"),
+    lambda: four_point_grid_k_optimal(SheetParams(1e-300, 1.0)),
+    lambda: three_point_restricted_1d(OuParams(1e-300), "K"),
+    lambda: three_point_restricted_1d(OuParams(1e-320), "D"),
+    lambda: three_point_restricted_1d(OuParams(1e-320), "K"),
+], ids=["nine-K-1e-300", "nine-K-1e-160", "nine-D-1e-320", "nine-K-1e-320",
+        "four-1e-300", "three-K-1e-300", "three-D-1e-320", "three-K-1e-320"])
+def test_searches_at_extreme_rates_raise_without_numpy_warnings(search_call):
+    # every criterion evaluation runs under the searches' errstate, so the
+    # package's error is the first thing raised (warnings are errors here)
+    with pytest.raises((NumericalError, SingularFimError)):
+        search_call()
+
+
 @pytest.mark.parametrize("rate", [1e-300, 1e-200, 1e-160])
 def test_singular_fim_message_names_a_number(rate):
     # the ratios of entries that overflowed are nan; the message counts
@@ -559,10 +580,10 @@ def test_nine_point_k_boundary_margin_does_not_depend_on_scan(monkeypatch):
     assert len(cells) == 20
 
     def searches(resolution):
-        monkeypatch.setattr("oudesign.search.NINE_POINT_GRID_RESOLUTION", resolution)
+        monkeypatch.setattr("oudesign.search.SCAN_POINTS", (SCAN_POINTS[0], resolution))
         return [nine_point_restricted_2d(SheetParams(*c), "K") for c in cells + [(2.0, 2.0)]]
 
-    assert NINE_POINT_GRID_RESOLUTION == 41
+    assert SCAN_POINTS[1] == 41
     for coarse, fine in zip(searches(41), searches(201)):
         assert coarse.collapsed_axes == fine.collapsed_axes
         assert coarse.boundary_margin == pytest.approx(fine.boundary_margin, rel=1e-6, abs=1e-14)
@@ -648,14 +669,14 @@ def test_four_point_small_rate_converges(beta):
 
 
 def test_iterations_count_scan_and_refinement():
-    assert three_point_restricted_1d(OuParams(0.3), "K").iterations > THREE_POINT_GRID_RESOLUTION
+    assert three_point_restricted_1d(OuParams(0.3), "K").iterations > SCAN_POINTS[0]
     assert (nine_point_restricted_2d(SheetParams(10.0, 20.0), "K").iterations
-            > NINE_POINT_GRID_RESOLUTION**2)
+            > SCAN_POINTS[1]**2)
     # D scans and refines each axis on its own
     assert (nine_point_restricted_2d(SheetParams(1.0, 2.0), "D").iterations
-            > 2 * NINE_POINT_GRID_RESOLUTION)
+            > 2 * SCAN_POINTS[1])
     assert (four_point_grid_k_optimal(SheetParams(0.2, 0.3)).iterations
-            > FOUR_POINT_GRID_RESOLUTION**2)
+            > SCAN_POINTS[1]**2)
     assert equidistant_k_optimal_1d(OuParams(1.0), 5).iterations > 2001
     assert two_point_k_optimal(OuParams(1.0)).iterations > 2
 
@@ -749,7 +770,7 @@ def test_four_point_41_point_scan_finds_the_241_point_basin(monkeypatch):
     # a scan only has to land in the optimum's basin; the refine sets the
     # precision, so the coarse scan's value is no worse than the fine one's
     coarse = [four_point_grid_k_optimal(SheetParams(*p)) for p in FOUR_POINT_PAIRS]
-    monkeypatch.setattr("oudesign.search.FOUR_POINT_GRID_RESOLUTION", 241)
+    monkeypatch.setattr("oudesign.search.SCAN_POINTS", (SCAN_POINTS[0], 241))
     for p, res in zip(FOUR_POINT_PAIRS, coarse):
         fine = four_point_grid_k_optimal(SheetParams(*p))
         assert res.value <= fine.value * (1.0 + 1e-12), p
