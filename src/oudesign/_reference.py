@@ -4,8 +4,9 @@ Everything here recomputes quantities from their definitions with generic
 dense linear algebra, independently of the closed forms in the public
 modules: correlations from pairwise distances, information matrices as
 basis @ C^{-1} @ basis.T with a dense solve, GLS through a dense inverse.
-Kept in the package (not the test tree) so the CLI and notebooks can
-cross-check too, but deliberately not exported as public API.
+Kept in the package (not the test tree) so that the tests and the
+benchmark oracle's own tests (``bench/test_oracle.py``) share one copy,
+but deliberately not exported as public API; the CLI never imports it.
 """
 
 from __future__ import annotations

@@ -61,8 +61,10 @@ def _window_entries(rate, T) -> FimEntries1D:
 
 
 def _window_doubling_ratio(beta: float, criterion) -> float:
-    """A criterion's ratio between the windows [0, 2] and [0, 1]."""
-    rate = _require_positive("rate", beta)
+    """A criterion's ratio between the windows [0, 2] and [0, 1].  Rates
+    below 1e-300, where the window entries stop being normal, count as
+    1e-300: every ratio is 2 + O(rate), exactly 2.0 in double long before."""
+    rate = max(_require_positive("rate", beta), 1e-300)
     return float(criterion(_window_entries(rate, 2.0)) / criterion(_window_entries(rate, 1.0)))
 
 

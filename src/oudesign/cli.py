@@ -164,30 +164,23 @@ def main(ctx, fmt, output, json_errors):
 @click.option("--grid", type=str, default=None, help="2D grid, e.g. 0,0.5,1x0,1")
 def cmd_fim(model, beta, gamma, design, grid):
     """Information-matrix entries and matrix for a design."""
-    rows = []
     if model == "process":
         _reject("--model process", gamma=gamma, grid=grid)
         if design is None:
             raise ValidationError("--design is required for --model process")
         d = Design1D(_parse_points(design))
         entries = fim_entries_1d(OuParams(beta), d)
-        matrix = entries.matrix()
-        rows += [("entry", "l1", entries.l1), ("entry", "l2", entries.l2),
-                 ("entry", "l3", entries.l3)]
+        triples = (entries,)
     else:
         _reject("--model sheet", design=design)
         if gamma is None or grid is None:
             raise ValidationError("--gamma and --grid are required for --model sheet")
-        s_pts, t_pts = _parse_grid(grid)
-        g = GridDesign2D(Design1D(s_pts), Design1D(t_pts))
+        g = GridDesign2D(*map(Design1D, _parse_grid(grid)))
         entries = fim_entries_2d(SheetParams(beta, gamma), g)
-        matrix = entries.matrix()
-        se, te = entries.s_entries, entries.t_entries
-        rows += [("entry", "l1", se.l1), ("entry", "l2", se.l2), ("entry", "l3", se.l3),
-                 ("entry", "m1", te.l1), ("entry", "m2", te.l2), ("entry", "m3", te.l3)]
-    for i in range(matrix.shape[0]):
-        for j in range(matrix.shape[1]):
-            rows.append(("matrix", f"a{i}{j}", matrix[i, j]))
+        triples = (entries.s_entries, entries.t_entries)
+    rows = [("entry", f"{axis}{k}", value) for axis, e in zip("lm", triples)
+            for k, value in enumerate((e.l1, e.l2, e.l3), start=1)]
+    rows += [("matrix", f"a{i}{j}", value) for (i, j), value in np.ndenumerate(entries.matrix())]
     _emit(["section", "name", "value"], rows)
 
 
@@ -369,14 +362,13 @@ def cmd_eff(beta, gamma, reps, seed, sigma):
     """Relative efficiency at a single rate (pair)."""
     config = mc.McConfig(replicates=reps, seed=seed, sigma=sigma)
     if gamma is None:
+        rates = {"beta": beta}
         rep = mc.run_efficiency_1d(OuParams(beta), config)
-        rows = [(beta, rep.mse_k, rep.mse_d, rep.eff_percent, rep.mc_standard_error)]
-        cols = ["beta", "mse_k", "mse_d", "eff_percent", "mc_se"]
     else:
+        rates = {"beta": beta, "gamma": gamma}
         rep = mc.run_efficiency_2d(SheetParams(beta, gamma), config)
-        rows = [(beta, gamma, rep.mse_k, rep.mse_d, rep.eff_percent, rep.mc_standard_error)]
-        cols = ["beta", "gamma", "mse_k", "mse_d", "eff_percent", "mc_se"]
-    _emit(cols, rows)
+    _emit([*rates, "mse_k", "mse_d", "eff_percent", "mc_se"],
+          [(*rates.values(), rep.mse_k, rep.mse_d, rep.eff_percent, rep.mc_standard_error)])
 
 
 @simulate_group.command("table1")

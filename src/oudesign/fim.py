@@ -26,12 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ValidationError
+from .exceptions import NumericalError, ValidationError
 from .model import (
     Design1D,
     GridDesign2D,
     OuParams,
     SheetParams,
+    _axes,
     _check_scaled_gaps,
     _scaled_gaps,
 )
@@ -99,11 +100,28 @@ def _points_entries(rate, points) -> FimEntries1D:
     return FimEntries1D(l1, l2, l3)
 
 
+def _axis_entries(rate, axis: Design1D) -> FimEntries1D:
+    """Entries of one axis design at its rate, as floats, once no two
+    points are numerically coincident; an overflow gives inf, for
+    :func:`_within_double_range` to reject."""
+    with np.errstate(over="ignore"):
+        _scaled_gaps(rate, axis)  # rejects numerically coincident points
+        e = _points_entries(rate, axis.as_array())
+    return FimEntries1D(float(e.l1), float(e.l2), float(e.l3))
+
+
+def _within_double_range(entries):
+    """``entries``, once every element of their information matrix is
+    finite: points far from the origin overflow it."""
+    if not np.all(np.isfinite(entries.matrix())):
+        raise NumericalError("information matrix overflows double precision")
+    return entries
+
+
 def fim_entries_1d(params: OuParams, design: Design1D) -> FimEntries1D:
     """Closed-form information entries for an arbitrary 1D design."""
-    _scaled_gaps(params.beta, design)  # rejects numerically coincident points
-    e = _points_entries(params.beta, design.as_array())
-    return FimEntries1D(float(e.l1), float(e.l2), float(e.l3))
+    ((rate, axis),) = _axes(params, design)
+    return _within_double_range(_axis_entries(rate, axis))
 
 
 def _equidistant_entries(rate, d, n) -> FimEntries1D:
@@ -159,10 +177,8 @@ def fim_1d(params: OuParams, design: Design1D) -> np.ndarray:
 
 def fim_entries_2d(params: SheetParams, design: GridDesign2D) -> FimEntries2D:
     """Per-axis entry triples for a grid design."""
-    return FimEntries2D(
-        s_entries=fim_entries_1d(OuParams(params.beta), design.s),
-        t_entries=fim_entries_1d(OuParams(params.gamma), design.t),
-    )
+    axes = _axes(params, design)
+    return _within_double_range(FimEntries2D(*(_axis_entries(rate, axis) for rate, axis in axes)))
 
 
 def fim_entries_equidistant_2d(

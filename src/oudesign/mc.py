@@ -79,6 +79,14 @@ class McConfig:
         object.__setattr__(self, "replicates", _check_count("replicates", self.replicates, 1))
         object.__setattr__(self, "seed", _check_count("seed", self.seed, 0))
         object.__setattr__(self, "sigma", _require_positive("sigma", self.sigma))
+        pair = self.design_pair
+        if pair is not None and not (
+            isinstance(pair, (tuple, list)) and len(pair) == 2
+            and any(all(isinstance(d, kind) for d in pair) for kind in (Design1D, GridDesign2D))
+        ):
+            raise ValidationError(
+                "design_pair must be None or a (K, D) pair of two Design1D or two GridDesign2D"
+            )
 
 
 @dataclass(frozen=True)

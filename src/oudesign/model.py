@@ -264,7 +264,10 @@ def _basis(design: Design1D | GridDesign2D) -> np.ndarray:
 
 def _axes(params, design) -> tuple[tuple[float, Design1D], ...]:
     """The (rate, Design1D) pair of each axis: one for a process, two for
-    a grid, whose sheet correlation is the product of the axis ones."""
+    a grid, whose sheet correlation is the product of the axis ones.  The
+    one place where a design's axes meet the params' rates, for the
+    information entries, the criteria, the dense builders, the sampler
+    and the Monte Carlo; a mismatched pair raises :class:`ValidationError`."""
     if isinstance(design, Design1D):
         if not isinstance(params, OuParams):
             raise ValidationError("1D designs require OuParams")
@@ -335,7 +338,8 @@ def correlation_matrix_1d(params: OuParams, design: Design1D) -> np.ndarray:
     ``exp(-beta*d_k)`` between i and j, i.e. ``exp(-beta*|s_i - s_j|)``;
     the diagonal is exactly one.
     """
-    w = np.concatenate([[0.0], np.cumsum(params.beta * np.diff(design.as_array()))])
+    ((beta, axis),) = _axes(params, design)
+    w = np.concatenate([[0.0], np.cumsum(beta * np.diff(axis.as_array()))])
     return np.exp(-np.abs(w[:, None] - w[None, :]))
 
 
@@ -348,8 +352,9 @@ def inv_correlation_matrix_1d(params: OuParams, design: Design1D) -> np.ndarray:
     Raises :class:`NearSingularDesignError` when any ``beta*d_k`` falls
     below ``MIN_SCALED_GAP``.
     """
-    diag, off = _precision_bands(params.beta, design)
-    n = design.n
+    ((beta, axis),) = _axes(params, design)
+    diag, off = _precision_bands(beta, axis)
+    n = axis.n
     out = np.zeros((n, n))
     idx = np.arange(n)
     out[idx, idx] = diag
@@ -362,13 +367,13 @@ def inv_correlation_matrix_2d(params: SheetParams, design: GridDesign2D) -> np.n
     """Inverse of the grid correlation matrix (s-major), as the Kronecker
     product of the two analytic axis inverses.  Grids above
     ``MAX_GRID_POINTS`` points raise :class:`ValidationError`."""
+    (beta, s), (gamma, t) = _axes(params, design)
     if design.size > MAX_GRID_POINTS:
         raise ValidationError(
             f"grid has {design.size} points, above the cap of {MAX_GRID_POINTS}"
         )
-    inv_s = inv_correlation_matrix_1d(OuParams(params.beta), design.s)
-    inv_t = inv_correlation_matrix_1d(OuParams(params.gamma), design.t)
-    return np.kron(inv_s, inv_t)
+    return np.kron(inv_correlation_matrix_1d(OuParams(beta), s),
+                   inv_correlation_matrix_1d(OuParams(gamma), t))
 
 
 def _apply_ar1_factor(beta: float, design: Design1D, z: np.ndarray, axis: int) -> None:

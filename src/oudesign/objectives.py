@@ -20,7 +20,7 @@ import numpy as np
 
 from .exceptions import NumericalError, SingularFimError
 from .fim import FimEntries1D, FimEntries2D, _points_entries, fim_entries_1d, fim_entries_2d
-from .model import Design1D, GridDesign2D, OuParams, SheetParams
+from .model import Design1D, GridDesign2D, OuParams, SheetParams, _axes
 
 __all__ = [
     "ObjectiveEval",
@@ -155,35 +155,47 @@ def d_objective_2d(entries: FimEntries2D) -> float:
     return (s.l1 * t.l1) * (d_objective_1d(s) * d_objective_1d(t))
 
 
-def _shifted_entries(rate: float, design: Design1D) -> FimEntries1D:
-    """Entries of the design moved to start at 0.  A shift leaves the
+def _shifted_entries(params, design) -> tuple[FimEntries1D, ...]:
+    """Entries of each axis moved to start at 0.  A shift leaves the
     determinant unchanged, and there l1*l3 - l2^2 does not cancel."""
-    s = design.as_array()
-    return _points_entries(rate, s - s[0])
+    return tuple(_points_entries(rate, axis.as_array() - axis.points[0])
+                 for rate, axis in _axes(params, design))
+
+
+def _without_overflow(criteria):
+    """``criteria()``, where no value overflows: an overflow raises
+    :class:`NumericalError` instead of giving inf (designs far from the
+    origin)."""
+    try:
+        with np.errstate(over="raise"):
+            return criteria()
+    except (FloatingPointError, OverflowError) as exc:
+        raise NumericalError("design criteria overflow double precision") from exc
 
 
 def evaluate_design_1d(params: OuParams, design: Design1D) -> ObjectiveEval:
     """Both criteria at a 1D design, each from the shift-invariant
     determinant, checked against the shifted entries it comes from."""
     entries = fim_entries_1d(params, design)
-    det = _checked_det(_shifted_entries(params.beta, design))
-    return ObjectiveEval(
-        d_value=float(det),
-        k_value=float(k_objective_1d(entries, det)),
-        entries=entries,
-    )
+
+    def criteria():
+        (shifted,) = _shifted_entries(params, design)
+        det = _checked_det(shifted)
+        return det, k_objective_1d(entries, det)
+
+    d_value, k_value = _without_overflow(criteria)
+    return ObjectiveEval(d_value=float(d_value), k_value=float(k_value), entries=entries)
 
 
 def evaluate_design_2d(params: SheetParams, design: GridDesign2D) -> ObjectiveEval:
     """Both criteria at a grid design, from the shift-invariant axis
     determinants of the shifted entries."""
     entries = fim_entries_2d(params, design)
-    shifted = FimEntries2D(
-        _shifted_entries(params.beta, design.s), _shifted_entries(params.gamma, design.t)
-    )
-    dets = d_objective_1d(shifted.s_entries), d_objective_1d(shifted.t_entries)
-    return ObjectiveEval(
-        d_value=float(d_objective_2d(shifted)),
-        k_value=float(k_objective_2d(entries, dets)),
-        entries=entries,
-    )
+
+    def criteria():
+        shifted = FimEntries2D(*_shifted_entries(params, design))
+        dets = d_objective_1d(shifted.s_entries), d_objective_1d(shifted.t_entries)
+        return d_objective_2d(shifted), k_objective_2d(entries, dets)
+
+    d_value, k_value = _without_overflow(criteria)
+    return ObjectiveEval(d_value=float(d_value), k_value=float(k_value), entries=entries)

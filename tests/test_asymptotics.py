@@ -85,6 +85,15 @@ def test_limits_reach_their_large_rate_values():
         assert domain_doubling_limit_d_axis(beta) == pytest.approx(32.0, rel=1e-14)
         assert domain_doubling_limit_k(beta) == pytest.approx(tail, rel=1e-14)
 
+
+@pytest.mark.parametrize("beta", [5e-324, 1e-320, 1e-309, 2.2e-308])
+def test_limits_are_two_at_subnormal_rates(beta):
+    # every limit is 2 + O(rate); below 1e-300 the window entries stop
+    # being normal, and the limits were nan, 1.99999999999999 or an error
+    assert domain_doubling_limit_d(beta) == 2.0
+    assert domain_doubling_limit_k(beta) == 2.0
+    assert domain_doubling_limit_d_axis(beta) == 2.0
+
 def test_limit_monotonicity():
     betas = np.geomspace(1e-3, 1e3, 200)
     d_vals = [domain_doubling_limit_d(b) for b in betas]

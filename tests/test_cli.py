@@ -10,10 +10,16 @@ from click.testing import CliRunner
 from oudesign import (
     OuParams,
     Design1D,
+    GridDesign2D,
+    McConfig,
     SheetParams,
     asymptotics,
+    fim_2d,
     fim_entries_1d,
+    fim_entries_2d,
     nine_point_restricted_2d,
+    run_efficiency_1d,
+    run_efficiency_2d,
     three_point_restricted_1d,
     two_point_k_optimal,
 )
@@ -57,6 +63,40 @@ def test_fim_sheet_emits_3x3(runner):
     _, rows = parse_csv(out)
     matrix_rows = [r for r in rows if r[0] == "matrix"]
     assert len(matrix_rows) == 9
+
+
+def test_fim_sheet_rows_are_the_library_values(runner):
+    argv = ["fim", "--model", "sheet", "--beta", "0.7", "--gamma", "3",
+            "--grid", "-1,0.2,4x0.5,1,2,9"]
+    _, rows = parse_csv(run_ok(runner, argv))
+    params, grid = SheetParams(0.7, 3.0), GridDesign2D((-1.0, 0.2, 4.0), (0.5, 1.0, 2.0, 9.0))
+    entries = fim_entries_2d(params, grid)
+    s, t = entries.s_entries, entries.t_entries
+    matrix = fim_2d(params, grid)
+    expected = [("entry", name, value) for name, value in zip(
+        ("l1", "l2", "l3", "m1", "m2", "m3"), (s.l1, s.l2, s.l3, t.l1, t.l2, t.l3))]
+    expected += [("matrix", f"a{i}{j}", matrix[i, j]) for i in range(3) for j in range(3)]
+    assert rows == [[section, name, f"{value:.12g}"] for section, name, value in expected]
+
+
+@pytest.mark.parametrize("rates", [("30",), ("10", "12")], ids=["process", "sheet"])
+def test_simulate_eff_row_is_the_library_report(runner, rates):
+    argv = ["simulate", "eff", "--beta", rates[0], *(["--gamma", rates[1]] if rates[1:] else []),
+            "--reps", "200", "--seed", "4", "--sigma", "0.5"]
+    header, rows = parse_csv(run_ok(runner, argv))
+    config = McConfig(replicates=200, seed=4, sigma=0.5)
+    if len(rates) == 1:
+        rep = run_efficiency_1d(OuParams(float(rates[0])), config)
+    else:
+        rep = run_efficiency_2d(SheetParams(*map(float, rates)), config)
+    assert header == [*("beta", "gamma")[:len(rates)], "mse_k", "mse_d", "eff_percent", "mc_se"]
+    values = (*map(float, rates), rep.mse_k, rep.mse_d, rep.eff_percent, rep.mc_standard_error)
+    assert rows == [[f"{v:.12g}" for v in values]]
+
+
+def test_fim_past_the_double_range_exits_3(runner):
+    argv = ["fim", "--model", "process", "--beta", "1", "--design", "0,1e154,2e154"]
+    assert "overflows double precision" in run_error(runner, argv, 3)
 
 
 def test_fim_invalid_design_exits_2(runner):
@@ -433,6 +473,11 @@ def test_limits_stay_finite_at_huge_rates(runner, argv):
     doc = json.loads(run_ok(runner, ["--format", "json", *argv]))
     (row,) = doc["rows"]
     assert all(isinstance(v, str) or (v is not None and math.isfinite(v)) for v in row)
+
+
+def test_limits_at_the_smallest_rate(runner):
+    _, rows = parse_csv(run_ok(runner, ["asymptotics", "limits", "--beta", "5e-324"]))
+    assert rows == [["4.94065645841e-324", "2", "2", "2"]]
 
 
 def test_two_point_below_its_rate_floor_exits_2(runner):

@@ -4,6 +4,7 @@ import pytest
 from oudesign import (
     Design1D,
     GridDesign2D,
+    NumericalError,
     OuParams,
     SheetParams,
     ValidationError,
@@ -208,3 +209,15 @@ def test_equidistant_validation():
         fim_entries_equidistant_1d(OuParams(1.0), -0.5, 3)
     with pytest.raises(ValidationError):
         fim_entries_equidistant_1d(OuParams(1.0), 0.5, 1)
+
+
+@pytest.mark.parametrize("fn, params, design", [
+    (fim_entries_1d, OuParams(1.0), Design1D((0.0, 1e154, 2e154))),
+    (fim_1d, OuParams(1e-310), Design1D((-1.5e308, 1.5e308))),
+    (fim_entries_2d, SheetParams(1.0, 2.0), GridDesign2D((0.0, 1e154, 2e154), (0.0, 1.0))),
+    # every triple is finite, the product l3 * m1 is not
+    (fim_2d, SheetParams(1.0, 2.0), GridDesign2D((0.0, 1.3e154), (0.0, 1.0, 2.0, 3.0, 4.0))),
+], ids=["far", "infinite-gap", "grid-far", "grid-product"])
+def test_entries_past_the_double_range_raise(fn, params, design):
+    with pytest.raises(NumericalError, match="overflows double precision"):
+        fn(params, design)

@@ -301,6 +301,11 @@ def test_mcconfig_validation():
         McConfig(replicates=0)
     with pytest.raises(ValidationError):
         McConfig(sigma=-0.1)
+    line, grid = Design1D((0.0, 0.5, 1.0)), GridDesign2D((0.0, 1.0), (0.0, 1.0))
+    for pair in [(line,), ("x", "y"), (line, grid), (line, line, line), line]:
+        with pytest.raises(ValidationError, match="design_pair"):
+            McConfig(design_pair=pair)
+    assert McConfig(design_pair=(grid, grid)).design_pair == (grid, grid)
 
 
 def test_sampler_and_gls_memory_is_linear_in_grid_size():

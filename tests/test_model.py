@@ -22,7 +22,12 @@ from oudesign import (
     doubling_ratio_2d,
     equidistant_d_monotone_check,
     equidistant_k_optimal_1d,
+    evaluate_design_1d,
+    evaluate_design_2d,
+    fim_1d,
+    fim_2d,
     fim_entries_1d,
+    fim_entries_2d,
     fim_entries_equidistant_1d,
     gls_estimate,
     inv_correlation_matrix_1d,
@@ -412,3 +417,29 @@ def test_sampler_matches_dense_cholesky_2d():
         params, design, trend.mean(design), correlation_direct_2d(params, design), 16, 22
     )
     assert np.max(np.abs(y - dense)) < 1e-12 * np.sqrt(params.stationary_variance)
+
+
+PROCESS_ENTRY_POINTS = (fim_entries_1d, fim_1d, evaluate_design_1d, correlation_matrix_1d,
+                        inv_correlation_matrix_1d)
+SHEET_ENTRY_POINTS = (fim_entries_2d, fim_2d, evaluate_design_2d, inv_correlation_matrix_2d)
+# The grid is above the dense builder's cap, which is checked after the pairing.
+MISMATCHED = {
+    "process-params-grid": lambda own: (OuParams(1.0), GridDesign2D.equidistant(0.1, 0.1, 101, 101)),
+    "sheet-params-line": lambda own: (SheetParams(1.0, 2.0), Design1D((0.0, 0.5, 1.0))),
+    "tuple-design": lambda own: (own, (0.0, 0.5, 1.0)),
+}
+
+
+@pytest.mark.parametrize("case", MISMATCHED)
+@pytest.mark.parametrize(
+    "entry_point, own_params",
+    [(f, OuParams(1.0)) for f in PROCESS_ENTRY_POINTS]
+    + [(f, SheetParams(1.0, 2.0)) for f in SHEET_ENTRY_POINTS],
+    ids=lambda v: getattr(v, "__name__", type(v).__name__),
+)
+def test_mismatched_params_and_design_raise_validation_error(entry_point, own_params, case):
+    # every entry point pairs rates with axes through model._axes, whose
+    # messages name the mismatch; none answers for the beta process
+    params, design = MISMATCHED[case](own_params)
+    with pytest.raises(ValidationError, match="designs require|unsupported design type"):
+        entry_point(params, design)

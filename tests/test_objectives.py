@@ -302,3 +302,15 @@ def test_grid_k_value_keeps_its_digits_off_the_origin(offset):
     grid = GridDesign2D((offset, offset + 0.3, offset + 1.0), (offset, offset + 0.5, offset + 2.0))
     k = grid_k_digits(mpmath, 80, (1.0, 2.0), grid.s.points, grid.t.points)
     assert evaluate_design_2d(SheetParams(1.0, 2.0), grid).k_value == pytest.approx(k, rel=1e-14)
+
+
+@pytest.mark.parametrize("far", [1e77, 1e100])
+def test_criteria_past_the_double_range_raise(far):
+    # the entries fit in a double, but (l1 - l3)^2 and the 3x3 squares do
+    # not: a NumericalError, not an OverflowError or a "not positive
+    # definite" one
+    design = Design1D((0.0, far, 2.0 * far))
+    with pytest.raises(NumericalError, match="criteria overflow double precision"):
+        evaluate_design_1d(OuParams(1.0), design)
+    with pytest.raises(NumericalError, match="criteria overflow double precision"):
+        evaluate_design_2d(SheetParams(1.0, 2.0), GridDesign2D(design, design))
