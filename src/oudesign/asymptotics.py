@@ -25,7 +25,7 @@ import numpy as np
 from .exceptions import ValidationError
 from .fim import FimEntries1D, FimEntries2D, _check_equidistant_args, _equidistant_entries
 from .fim import fim_entries_equidistant_1d
-from .model import OuParams, SheetParams, _check_count, _require_positive
+from .model import OuParams, SheetParams, _check_count, _rates, _require_positive
 from .objectives import d_objective_1d, d_objective_2d, k_objective_1d, k_objective_2d
 
 __all__ = [
@@ -152,11 +152,12 @@ def doubling_ratio_2d(params: SheetParams, n: int, m: int, mode: str) -> Doublin
     m = _check_count("m", m, 2)
     if mode not in MODES_2D:
         raise ValidationError(f"mode must be one of {MODES_2D}, got {mode!r}")
-    ratio_det, ratio_cond = _grid_doubling_ratios(params.beta, params.gamma, n, m, mode)
+    beta, gamma = _rates(params, SheetParams)
+    ratio_det, ratio_cond = _grid_doubling_ratios(beta, gamma, n, m, mode)
     if mode.startswith("infill"):
         limits = (1.0, 1.0)
     else:
-        limits = _window_limits_2d(params.beta, params.gamma, mode)
+        limits = _window_limits_2d(beta, gamma, mode)
     return DoublingReport(mode, n, m, float(ratio_det), float(ratio_cond), *map(float, limits))
 
 

@@ -22,6 +22,7 @@ ones do not cancel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,7 @@ from .model import (
     SheetParams,
     _axes,
     _check_scaled_gaps,
+    _rates,
     _scaled_gaps,
 )
 
@@ -120,7 +122,7 @@ def _within_double_range(entries):
 
 def fim_entries_1d(params: OuParams, design: Design1D) -> FimEntries1D:
     """Closed-form information entries for an arbitrary 1D design."""
-    ((rate, axis),) = _axes(params, design)
+    ((rate, axis),) = _axes(params, design, OuParams)
     return _within_double_range(_axis_entries(rate, axis))
 
 
@@ -145,6 +147,24 @@ def _equidistant_entries(rate, d, n) -> FimEntries1D:
     return FimEntries1D(l1, l2, l3)
 
 
+def _equidistant_slopes(rate: float, d: float, n: int):
+    """:func:`_equidistant_entries` at one step, on Python floats, and their
+    derivatives in u = log d.  With x = rate*d, p = exp(-x), l3 = (n-1)d^2 g:
+    l1_u = 2(n-1)xp/(1+p)^2, l2_u = l2 + (n-1)d/2 l1_u, l3_u = 2 l3 +
+    (n-1)d^2 xg', xg' = (n(2n-1)/3 - n)xp/(1+p)^2 - 2x q^2, q = p/(1-p^2);
+    d^2 x q^2 is taken as (xq)(dq)d, finite wherever the entries are."""
+    x = min(rate * d, 1e3)  # p is 0 from here on; x = inf would make x*p nan
+    p = math.exp(-x)
+    xs, q, c = x * p / (1.0 + p) ** 2, p / -math.expm1(-2.0 * x), n * (2 * n - 1) / 6.0
+    l1 = (n + (2.0 - n) * p) / (1.0 + p)
+    l2 = 0.5 * d * (n - 1) * l1
+    l3 = d * d * (n - 1) * (c * -math.expm1(-x) / (1.0 + p) + n * p / (1.0 + p) + p * q)
+    l1_u = 2.0 * (n - 1) * xs
+    l2_u = l2 + 0.5 * d * (n - 1) * l1_u
+    l3_u = 2.0 * l3 + (n - 1) * (d * d * (2.0 * c - n) * xs - 2.0 * (x * q) * (d * q) * d)
+    return (l1, l2, l3), (l1_u, l2_u, l3_u)
+
+
 def _check_equidistant_args(beta, d, n) -> None:
     """Validate rates, steps and point counts; each may be an array."""
     n = np.asarray(n, dtype=float)
@@ -162,9 +182,10 @@ def fim_entries_equidistant_1d(params: OuParams, d: float, n: int) -> FimEntries
     Agrees with :func:`fim_entries_1d` on the explicit design; ``d`` may
     be an array for vectorized evaluation.
     """
+    (beta,) = _rates(params, OuParams)
     d = np.asarray(d, dtype=float)
-    _check_equidistant_args(params.beta, d, n)
-    e = _equidistant_entries(params.beta, d, int(n))
+    _check_equidistant_args(beta, d, n)
+    e = _equidistant_entries(beta, d, int(n))
     if np.ndim(d) == 0:
         return FimEntries1D(float(e.l1), float(e.l2), float(e.l3))
     return e
@@ -177,7 +198,7 @@ def fim_1d(params: OuParams, design: Design1D) -> np.ndarray:
 
 def fim_entries_2d(params: SheetParams, design: GridDesign2D) -> FimEntries2D:
     """Per-axis entry triples for a grid design."""
-    axes = _axes(params, design)
+    axes = _axes(params, design, SheetParams)
     return _within_double_range(FimEntries2D(*(_axis_entries(rate, axis) for rate, axis in axes)))
 
 
@@ -185,9 +206,10 @@ def fim_entries_equidistant_2d(
     params: SheetParams, d: float, delta: float, n: int, m: int
 ) -> FimEntries2D:
     """Per-axis triples for the equidistant grid with steps (d, delta)."""
+    beta, gamma = _rates(params, SheetParams)
     return FimEntries2D(
-        s_entries=fim_entries_equidistant_1d(OuParams(params.beta), d, n),
-        t_entries=fim_entries_equidistant_1d(OuParams(params.gamma), delta, m),
+        s_entries=fim_entries_equidistant_1d(OuParams(beta), d, n),
+        t_entries=fim_entries_equidistant_1d(OuParams(gamma), delta, m),
     )
 
 

@@ -36,6 +36,7 @@ from .model import (
     _basis,
     _check_count,
     _noise_sd,
+    _rates,
     _require_positive,
     _whiten,
 )
@@ -214,13 +215,14 @@ def run_efficiency_1d(params: OuParams, config: McConfig) -> EffReport:
     collapse: for rates inside the collapse interval, where no
     non-collapsing K-optimal design exists.
     """
+    (beta,) = _rates(params, OuParams)
     pair = config.design_pair
     if pair is None:
         k_res = three_point_restricted_1d(params, "K")
         if k_res.collapsed:
             interval = collapse_interval()
             raise CollapsedDesignError(
-                f"rate {params.beta:g} lies inside the collapse interval "
+                f"rate {beta:g} lies inside the collapse interval "
                 f"[{interval.lower:.4f}, {interval.upper:.4f}]"
             )
         pair = Design1D((0.0, k_res.argopt, 1.0)), Design1D((0.0, 0.5, 1.0))
@@ -233,13 +235,14 @@ def run_efficiency_2d(params: SheetParams, config: McConfig) -> EffReport:
     square, simulated at ``config.sigma`` (not ``params.sigma``).  Raises
     :class:`CollapsedDesignError` inside the collapse region of the rate
     plane."""
+    beta, gamma = _rates(params, SheetParams)
     pair = config.design_pair
     if pair is None:
         k_res = nine_point_restricted_2d(params, "K")
         if k_res.collapsed and (k_res.boundary_margin or 0.0) > MATERIAL_COLLAPSE_RTOL:
             raise CollapsedDesignError(
                 f"K-optimal nine-point design collapsed at rates "
-                f"({params.beta:g}, {params.gamma:g}) "
+                f"({beta:g}, {gamma:g}) "
                 f"(boundary improves the criterion by {k_res.boundary_margin:.2e} relative)"
             )
         # An immaterial boundary optimum (flat criterion surface, boundary

@@ -262,21 +262,27 @@ def _basis(design: Design1D | GridDesign2D) -> np.ndarray:
     return basis
 
 
-def _axes(params, design) -> tuple[tuple[float, Design1D], ...]:
-    """The (rate, Design1D) pair of each axis: one for a process, two for
-    a grid, whose sheet correlation is the product of the axis ones.  The
-    one place where a design's axes meet the params' rates, for the
-    information entries, the criteria, the dense builders, the sampler
-    and the Monte Carlo; a mismatched pair raises :class:`ValidationError`."""
-    if isinstance(design, Design1D):
-        if not isinstance(params, OuParams):
-            raise ValidationError("1D designs require OuParams")
-        return ((params.beta, design),)
-    if isinstance(design, GridDesign2D):
-        if not isinstance(params, SheetParams):
-            raise ValidationError("grid designs require SheetParams")
-        return ((params.beta, design.s), (params.gamma, design.t))
-    raise ValidationError(f"unsupported design type {type(design).__name__}")
+def _rates(params, model) -> tuple[float, ...]:
+    """The axis rates of ``params``, (beta,) or (beta, gamma), once it is an
+    instance of ``model``, OuParams or SheetParams: the check of every entry
+    point that takes one model's params, with a design or without."""
+    if not isinstance(params, model):
+        raise ValidationError(f"{model.__name__} required, got {type(params).__name__}")
+    return (params.beta,) if model is OuParams else (params.beta, params.gamma)
+
+
+def _axes(params, design, model=None) -> tuple[tuple[float, Design1D], ...]:
+    """The (rate, Design1D) pair of each axis: one for a process, two for a
+    grid, whose sheet correlation is the product of the axis ones.  The one
+    place where a design's axes meet the params' rates (entries, criteria,
+    dense builders, sampler, Monte Carlo); a mismatched pair, or a pair of
+    another ``model`` than the caller's, raises :class:`ValidationError`."""
+    if not isinstance(design, (Design1D, GridDesign2D)):
+        raise ValidationError(f"unsupported design type {type(design).__name__}")
+    name, kind = ("1D", OuParams) if isinstance(design, Design1D) else ("grid", SheetParams)
+    if not isinstance(params, kind):
+        raise ValidationError(f"{name} designs require {kind.__name__}")
+    return tuple(zip(_rates(params, model or kind), design.axes))
 
 
 def _check_scaled_gaps(x):
@@ -338,7 +344,7 @@ def correlation_matrix_1d(params: OuParams, design: Design1D) -> np.ndarray:
     ``exp(-beta*d_k)`` between i and j, i.e. ``exp(-beta*|s_i - s_j|)``;
     the diagonal is exactly one.
     """
-    ((beta, axis),) = _axes(params, design)
+    ((beta, axis),) = _axes(params, design, OuParams)
     w = np.concatenate([[0.0], np.cumsum(beta * np.diff(axis.as_array()))])
     return np.exp(-np.abs(w[:, None] - w[None, :]))
 
@@ -352,7 +358,7 @@ def inv_correlation_matrix_1d(params: OuParams, design: Design1D) -> np.ndarray:
     Raises :class:`NearSingularDesignError` when any ``beta*d_k`` falls
     below ``MIN_SCALED_GAP``.
     """
-    ((beta, axis),) = _axes(params, design)
+    ((beta, axis),) = _axes(params, design, OuParams)
     diag, off = _precision_bands(beta, axis)
     n = axis.n
     out = np.zeros((n, n))
@@ -367,7 +373,7 @@ def inv_correlation_matrix_2d(params: SheetParams, design: GridDesign2D) -> np.n
     """Inverse of the grid correlation matrix (s-major), as the Kronecker
     product of the two analytic axis inverses.  Grids above
     ``MAX_GRID_POINTS`` points raise :class:`ValidationError`."""
-    (beta, s), (gamma, t) = _axes(params, design)
+    (beta, s), (gamma, t) = _axes(params, design, SheetParams)
     if design.size > MAX_GRID_POINTS:
         raise ValidationError(
             f"grid has {design.size} points, above the cap of {MAX_GRID_POINTS}"

@@ -4,9 +4,8 @@ Covered design families:
 
 * three observation points {0, d, 1} on the unit interval (one free
   coordinate d), under the determinant or condition-number criterion;
-* two points {0, d} with free spacing, where the condition-number
-  optimum solves a scalar root equation;
-* equidistant designs with free step size;
+* equidistant designs {0, d, ..., (n-1)d} with free step d under the
+  condition-number criterion, two points {0, d} being the case n = 2;
 * nine-point restricted grids {0, d, 1} x {0, delta, 1} on the unit
   square and four-point grids {0, d} x {0, delta} on the quarter plane.
 
@@ -17,22 +16,23 @@ between the two positive roots of an explicit exponential-polynomial
 equation; :func:`collapse_interval` computes those roots, and the
 three-point K search takes its flag from them.
 
-The four scanning searches share one routine (:func:`_refine`): a scan on
-the open mesh of one or two axes, then zooming meshes of about 2^8 points
-around the scan's argmin, until the zoom is as fine as the tolerance;
-each scan and zoom level is one criterion call, whose cost is per call
-rather than per point.  Scan size and tolerance are set per model
-(SCAN_POINTS, REFINE_TOL), and two rules build every result, with every
-evaluation under one errstate.  Unit coordinates (:func:`_unit_search`)
-are linear on [0, 1]; one has collapsed when it refines to exactly 0 or
-1 (the zoom grids contain the clipped boundary and ties break toward it),
-and its boundary margin is measured against the same design with the
-collapsed coordinates moved MARGIN_STEP inside, so it does not depend on
-the scan.  Gaps (:func:`_gap_search`) are log d from a lower end that
-follows the rate, so the tolerance is relative there.  2D values are
-grouped so that swapping the two axes (and rates) is bitwise exact, and
-ties go to the smallest sorted coordinates, so the swapped search takes
-the swapped path.
+The equidistant step is the root of dK/d(log d), bisected to the last bit
+(:func:`_spacing_search`).  The other searches share one routine
+(:func:`_refine`): a scan on the open mesh of one or two axes, then
+zooming meshes of about 2^8 points around the scan's argmin, until the
+zoom is as fine as the tolerance; each scan and zoom level is one
+criterion call, whose cost is per call rather than per point.  Scan size
+and tolerance are set per model (SCAN_POINTS, REFINE_TOL), and every
+evaluation runs under one errstate.  Unit coordinates
+(:func:`_unit_search`) are linear on [0, 1]; one has collapsed when it
+refines to exactly 0 or 1 (the zoom grids contain the clipped boundary
+and ties break toward it), and its boundary margin is measured against
+the same design with the collapsed coordinates moved MARGIN_STEP inside,
+so it does not depend on the scan.  Four-point gaps are log d from a
+floor that follows the rate, so the tolerance is relative there.  2D
+values are grouped so that swapping the two axes (and rates) is bitwise
+exact, and ties go to the smallest sorted coordinates, so the swapped
+search takes the swapped path.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ import numpy as np
 
 from .exceptions import NumericalError, ValidationError
 from .fim import FimEntries1D, FimEntries2D, _check_equidistant_args, _equidistant_entries
-from .fim import _points_entries
-from .model import OuParams, SheetParams, _check_count, _require_positive
+from .fim import _equidistant_slopes, _points_entries
+from .model import OuParams, SheetParams, _check_count, _rates, _require_positive
 from .objectives import _cond3_from_entries, d_objective_1d, k_objective_1d
 
 __all__ = [
@@ -68,9 +68,8 @@ __all__ = [
 ]
 
 COLLAPSE_EQUATION_MAX_RATE = 170.0  # exp(4*beta) overflows just beyond this
-# Below this rate the two-point spacing equation loses its sign change on
-# the bracket in double precision (from about 1e-79.5); from here up the
-# root is 2*rate within 1e-13 relative at small rates.
+# Two-point's input floor, kept from the paper's spacing equation (no sign change
+# in double precision below ~1e-79.5); its spacing search holds to ~5e-154.
 TWO_POINT_MIN_RATE = 1e-75
 REFINE_POINTS = (257, 17)  # points per axis of a refine level, on one axis and on two
 MAX_REFINE_PASSES = 3
@@ -92,9 +91,9 @@ class SearchResult:
     ``value`` the criterion value there.  ``collapsed`` marks boundary
     optima (merged observation points); for grid searches
     ``collapsed_axes`` flags each coordinate separately.
-    ``iterations`` counts every criterion evaluation, scan included (for
-    the two-point root, every evaluation of its spacing equation).
-    ``converged`` is False only for a four-point or equidistant optimum
+    ``iterations`` counts every criterion evaluation, scan included; for
+    the equidistant and two-point searches, the sign evaluations of their
+    root bisection.  ``converged`` is False only for a four-point optimum
     pinned at its scan window's end.
     """
 
@@ -324,28 +323,6 @@ def _unit_search(f, crit, rates, find=None):
     )
 
 
-def _gap_search(f, rates, windows):
-    """Result of a K search over gaps d > 0, one log-d axis per rate over
-    its window (lo, hi); an optimum pinned at a window's end has not
-    converged."""
-    model = len(rates) - 1
-    axes = tuple(_log_axis(lo, hi, SCAN_POINTS[model], rate)
-                 for (lo, hi), rate in zip(windows, rates))
-    with np.errstate(**_QUIET):
-        u, value, evaluations = _scan_refine(f, axes, REFINE_TOL[model])
-    gaps = tuple(math.exp(c) for c in u)
-    return SearchResult(
-        argopt=gaps if model else gaps[0],
-        value=_checked_value(value, "K", *rates),
-        converged=not any(c in (a[0], a[-1]) for c, a in zip(u, axes)),
-        collapsed=False,
-        iterations=evaluations,
-        bracket=windows if model else windows[0],
-        collapsed_axes=(False,) * len(rates) if model else None,
-        boundary_margin=0.0,
-    )
-
-
 def three_point_restricted_1d(params: OuParams, criterion: str = "D") -> SearchResult:
     """Optimal free point d of the design {0, d, 1} on [0, 1].
 
@@ -359,7 +336,7 @@ def three_point_restricted_1d(params: OuParams, criterion: str = "D") -> SearchR
     without a scan.
     """
     crit = _check_criterion(criterion)
-    beta = params.beta
+    (beta,) = _rates(params, OuParams)
 
     def f(d):
         e = _points_entries(beta, _free_point_design(d))
@@ -380,79 +357,57 @@ def _check_criterion(criterion: str) -> str:
     return crit
 
 
-def _two_point_gap_equation(beta: float):
-    """Root function for the two-point spacing optimum, in decayed form.
+def _spacing_search(rate: float, n: int) -> SearchResult:
+    """K search over the step d of {0, d, ..., (n-1)d}: the root of dK/du,
+    u = log(d/scale), bisected to the last bit on the window
+    [min(1e-4, 1e-2*rate/(n-1)), 1e4], which follows the optimum's rate/(n-1)
+    at small rates; scale = min(1, rate)/(n-1) keeps an ulp of u near one of
+    d.  As K + 1/K + 2 = tr^2/det, dK/du has the sign of 2*det*tr_u - tr*det_u
+    = (l1 - l3)(l3*l1_u - l1*l3_u) + 2*l2*((l1 + l3)*l2_u - l2*(l1_u + l3_u)),
+    taken over tr^2: finite, and with no cancelling terms where K is near 1.
+    Entries that overflow at the window's floor (rate < ~1e-153) are singular."""
+    lo, hi, scale = min(1e-4, 1e-2 * rate / (n - 1)), 1e4, min(1.0, rate) / (n - 1)
 
-    The optimality equation factors as d^2/2 = q(beta*d) with q strictly
-    increasing from 0 to 1, so the returned function changes sign exactly
-    once on (0, sqrt(2)) and never overflows.
-    """
+    def slope(u):
+        (l1, l2, l3), (l1_u, l2_u, l3_u) = _equidistant_slopes(rate, scale * math.exp(u), n)
+        tr = l1 + l3
+        a, b, c = l1 / tr, l2 / tr, l3 / tr
+        return (l1 - l3) / tr * (c * l1_u - a * l3_u) + 2.0 * b * (l2_u - b * (l1_u + l3_u))
 
-    def h(d: float) -> float:
-        x = min(beta * d, 1e3)  # exp(-x) is 0 from here on; x = inf would make x*exp(-x) nan
-        em = math.exp(-x)
-        one_m = -math.expm1(-x)  # 1 - e^{-x}
-        t = one_m - x * em  # 1 - (x+1) e^{-x}
-        num = (t + em * one_m) * one_m
-        den = -math.expm1(-2.0 * x) - x * math.exp(-2.0 * x)  # 1 - (x+1) e^{-2x}
-        return 0.5 * d * d - num / den
-
-    return h
+    with np.errstate(**_QUIET):
+        try:
+            u, evaluations = _bisect(slope, math.log(lo / scale), math.log(hi / scale))
+        except (ValidationError, ZeroDivisionError):
+            k_objective_1d(_equidistant_entries(rate, lo, n))
+            raise
+        root = scale * math.exp(u)
+        value = k_objective_1d(_equidistant_entries(rate, root, n))
+    return SearchResult(argopt=root, value=_checked_value(value, "K", rate), converged=True,
+                        collapsed=False, iterations=evaluations, bracket=(lo, hi),
+                        boundary_margin=0.0)
 
 
 def two_point_k_optimal(params: OuParams) -> SearchResult:
-    """Unique condition-number-optimal spacing of the design {0, d}.
-
-    The optimum is the unique positive root of the spacing equation,
-    bracketed between min(1, rate)/1000 and sqrt(2) and bisected in log d
-    to the last bit; a bracketing failure would signal a transcription
-    bug, not a missing optimum (existence and uniqueness hold for every
-    rate).  The root lies near 2*rate at small rates; rates below
-    TWO_POINT_MIN_RATE, where the bracket fails in double precision,
-    raise :class:`ValidationError`.
-    """
-    if params.beta < TWO_POINT_MIN_RATE:
+    """Unique condition-number-optimal spacing of the design {0, d}, near
+    2*rate at small rates: the equidistant search with n = 2.  Rates below
+    TWO_POINT_MIN_RATE raise :class:`ValidationError`."""
+    (beta,) = _rates(params, OuParams)
+    if beta < TWO_POINT_MIN_RATE:
         raise ValidationError(
-            f"rate {params.beta:g} is below {TWO_POINT_MIN_RATE:g}, where the two-point "
+            f"rate {beta:g} is below {TWO_POINT_MIN_RATE:g}, where the two-point "
             "spacing equation cannot be solved in double precision; the root is 2*rate there"
         )
-    h = _two_point_gap_equation(params.beta)
-    lo, hi = 1e-3 * min(1.0, params.beta), math.sqrt(2.0)
-    u, evaluations = _bisect(lambda u: h(math.exp(u)), math.log(lo), math.log(hi))
-    root = math.exp(u)
-    # K at the root itself: below rate ~7e-7 the scaled root 2*rate^2 lies
-    # under the coincidence floor of the validated equidistant entries.
-    value = k_objective_1d(_equidistant_entries(params.beta, root, 2))
-    return SearchResult(
-        argopt=root,
-        value=_checked_value(value, "K", params.beta),
-        converged=True,
-        collapsed=False,
-        iterations=evaluations,
-        bracket=(lo, hi),
-        boundary_margin=0.0,
-    )
+    return _spacing_search(beta, 2)
 
 
 def equidistant_k_optimal_1d(params: OuParams, n: int) -> SearchResult:
     """Global condition-number-optimal step size of the equidistant
-    n-point design, over d > 0.
-
-    The condition number diverges for both vanishing and growing steps,
-    so a global minimum exists.  A scan in log d is refined around its
-    argmin to REFINE_TOL[0] relative; an optimum pinned at the scan
-    window's end reports ``converged=False``.
-    """
+    n-point design, over d > 0: K diverges for vanishing and growing steps
+    and is unimodal in log d between, so the optimum is the one root of
+    dK/d(log d), bisected to the last bit."""
     n = _check_count("n", n, 2)
-    beta = params.beta
-
-    def f(u):
-        return k_objective_1d(_equidistant_entries(beta, np.exp(u), n))
-
-    # At small rates the optimal step shrinks like rate/(n-1); the scan
-    # window follows it.  Entries that overflow near rate 1e-300 fail the
-    # det check: SingularFimError.
-    return _gap_search(f, (beta,), ((min(1e-4, 1e-2 * beta / (n - 1)), 1e4),))
+    (beta,) = _rates(params, OuParams)
+    return _spacing_search(beta, n)
 
 
 def equidistant_d_monotone_check(params: OuParams, n: int, d_grid) -> bool:
@@ -461,8 +416,9 @@ def equidistant_d_monotone_check(params: OuParams, n: int, d_grid) -> bool:
     d = np.sort(np.asarray(d_grid, dtype=float), axis=None)
     if d.size < 2:
         raise ValidationError("d_grid needs at least two step sizes")
-    _check_equidistant_args(params.beta, d, n)
-    det = d_objective_1d(_equidistant_entries(params.beta, d, int(n)))
+    (beta,) = _rates(params, OuParams)
+    _check_equidistant_args(beta, d, n)
+    det = d_objective_1d(_equidistant_entries(beta, d, int(n)))
     return bool(np.all(np.diff(det) > 0.0))
 
 
@@ -477,7 +433,7 @@ def nine_point_restricted_2d(params: SheetParams, criterion: str = "D") -> Searc
     collapse per coordinate when a minimizing coordinate reaches {0, 1}.
     """
     crit = _check_criterion(criterion)
-    beta, gamma = params.beta, params.gamma
+    beta, gamma = _rates(params, SheetParams)
 
     if crit == "D":
 
@@ -517,14 +473,26 @@ def four_point_grid_k_optimal(params: SheetParams) -> SearchResult:
     refined to REFINE_TOL[1] relative; an optimum pinned at a scan
     window's end reports ``converged=False``.
     """
-    beta, gamma = params.beta, params.gamma
+    beta, gamma = rates = _rates(params, SheetParams)
 
     def f2(u, v):
         s, t = _equidistant_entries(beta, np.exp(u), 2), _equidistant_entries(gamma, np.exp(v), 2)
         return _cond3_from_entries(FimEntries2D(s, t))[0]
 
-    windows = tuple((min(1e-3, 0.1 * rate), 1e3) for rate in (beta, gamma))
-    return _gap_search(f2, (beta, gamma), windows)
+    windows = tuple((min(1e-3, 0.1 * rate), 1e3) for rate in rates)
+    axes = tuple(_log_axis(lo, hi, SCAN_POINTS[1], rate) for (lo, hi), rate in zip(windows, rates))
+    with np.errstate(**_QUIET):
+        uv, value, evaluations = _scan_refine(f2, axes, REFINE_TOL[1])
+    return SearchResult(
+        argopt=tuple(math.exp(c) for c in uv),
+        value=_checked_value(value, "K", *rates),
+        converged=not any(c in (a[0], a[-1]) for c, a in zip(uv, axes)),
+        collapsed=False,
+        iterations=evaluations,
+        bracket=windows,
+        collapsed_axes=(False, False),
+        boundary_margin=0.0,
+    )
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,17 @@ from oudesign import (
     fim_entries_1d,
     fim_entries_2d,
     fim_entries_equidistant_1d,
+    fim_entries_equidistant_2d,
+    four_point_grid_k_optimal,
     gls_estimate,
     inv_correlation_matrix_1d,
     inv_correlation_matrix_2d,
+    nine_point_restricted_2d,
+    run_efficiency_1d,
+    run_efficiency_2d,
     sample_observations,
+    three_point_restricted_1d,
+    two_point_k_optimal,
 )
 from oudesign._reference import correlation_direct_1d, correlation_direct_2d
 from helpers import random_design
@@ -443,3 +450,43 @@ def test_mismatched_params_and_design_raise_validation_error(entry_point, own_pa
     params, design = MISMATCHED[case](own_params)
     with pytest.raises(ValidationError, match="designs require|unsupported design type"):
         entry_point(params, design)
+
+
+LINE, GRID = Design1D((0.0, 0.5, 1.0)), GridDesign2D.equidistant(0.5, 0.5, 3, 3)
+# Each entry point of one model, with its arguments after the params.
+PROCESS_CALLS = {
+    "three_point_restricted_1d": lambda p: three_point_restricted_1d(p, "K"),
+    "two_point_k_optimal": two_point_k_optimal,
+    "equidistant_k_optimal_1d": lambda p: equidistant_k_optimal_1d(p, 5),
+    "equidistant_d_monotone_check": lambda p: equidistant_d_monotone_check(p, 3, [0.5, 1.0]),
+    "doubling_ratio_1d": lambda p: doubling_ratio_1d(p, 10, "domain"),
+    "fim_entries_equidistant_1d": lambda p: fim_entries_equidistant_1d(p, 0.5, 5),
+    "run_efficiency_1d": lambda p: run_efficiency_1d(p, McConfig(replicates=20)),
+    "run_efficiency_1d-pair": lambda p: run_efficiency_1d(
+        p, McConfig(replicates=20, design_pair=(GRID, GRID))),
+    **{f.__name__: (lambda f: lambda p: f(p, GRID))(f) for f in PROCESS_ENTRY_POINTS},
+}
+SHEET_CALLS = {
+    "nine_point_restricted_2d": lambda p: nine_point_restricted_2d(p, "K"),
+    "four_point_grid_k_optimal": four_point_grid_k_optimal,
+    "doubling_ratio_2d": lambda p: doubling_ratio_2d(p, 4, 4, "domain-both"),
+    "fim_entries_equidistant_2d": lambda p: fim_entries_equidistant_2d(p, 0.5, 0.5, 3, 3),
+    "run_efficiency_2d": lambda p: run_efficiency_2d(p, McConfig(replicates=20)),
+    "run_efficiency_2d-pair": lambda p: run_efficiency_2d(
+        p, McConfig(replicates=20, design_pair=(LINE, LINE))),
+    **{f.__name__: (lambda f: lambda p: f(p, LINE))(f) for f in SHEET_ENTRY_POINTS},
+}
+
+
+@pytest.mark.parametrize(
+    "call, params",
+    [(PROCESS_CALLS[k], SheetParams(1.0, 2.0)) for k in PROCESS_CALLS]
+    + [(SHEET_CALLS[k], OuParams(1.0)) for k in SHEET_CALLS],
+    ids=[*PROCESS_CALLS, *SHEET_CALLS],
+)
+def test_params_of_the_other_model_raise_validation_error(call, params):
+    # sheet params handed to a process entry point, or process params to a
+    # sheet one, with no design or with a design of the params' own model:
+    # every one reads its rates through model._rates, which names the model
+    with pytest.raises(ValidationError, match="Params required, got"):
+        call(params)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -418,13 +419,78 @@ def test_searches_reject_bad_grid_resolution(search, params, resolution):
         search(params, "K", resolution)
 
 def test_equidistant_k_n2_agrees_with_two_point():
-    # localization is sqrt(eps)-limited near the flat minimum, so
-    # agreement is 1e-6, not the refinement tolerance
+    # two-point is the equidistant search with n = 2
     for beta in (0.2, 1.0, 5.0):
         a = equidistant_k_optimal_1d(OuParams(beta), 2)
         b = two_point_k_optimal(OuParams(beta))
-        assert a.argopt == pytest.approx(b.argopt, abs=1e-6)
-        assert a.value == pytest.approx(b.value, rel=1e-10)
+        assert (a.argopt, a.value) == (b.argopt, b.value)
+
+
+def test_equidistant_k_n2_is_two_point_from_its_floor_to_the_largest_rate():
+    for beta in np.geomspace(TWO_POINT_MIN_RATE, 1.7e308, 77):
+        a = equidistant_k_optimal_1d(OuParams(beta), 2)
+        b = two_point_k_optimal(OuParams(beta))
+        assert (a.argopt, a.value) == (b.argopt, b.value), beta
+
+
+def equidistant_k_digits(mpmath, rate, d, n):
+    """Condition number of {0, d, ..., (n-1)d} from the paper's entry sums
+    in closed form, at mpmath's working precision; e = 1 - exp(-rate*d)
+    keeps the digits of small scaled steps."""
+    b, m = mpmath.mpf(rate), n - 1
+    e = -mpmath.expm1(-b * d)
+    l1 = 1 + m * e / (2 - e)
+    l2 = d * (m + e * m * (m - 1) / 2) / (2 - e)  # sum of (i+1) - i*p over the gaps
+    squares = m + e * m * (m - 1) + e * e * mpmath.mpf((m - 1) * m * (2 * m - 1)) / 6
+    l3 = d * d * squares / -mpmath.expm1(-2 * b * d)
+    trace, det = l1 + l3, l1 * l3 - l2 * l2
+    lam_max = (trace + mpmath.sqrt((l1 - l3) ** 2 + 4 * l2 * l2)) / 2
+    return lam_max * lam_max / det
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 30, 100, 300, 1000])
+def test_equidistant_k_argopt_is_the_60_digit_root(n):
+    # the bisected step against a 60-digit root of dK/d(log d), found by a
+    # bracketing solver on mpmath's numerical derivative
+    mpmath = pytest.importorskip("mpmath")
+    for rate in (10.0**k for k in range(-6, 8)):
+        res = equidistant_k_optimal_1d(OuParams(rate), n)
+        with mpmath.workdps(60):
+            def slope(u):
+                return mpmath.diff(lambda v: equidistant_k_digits(mpmath, rate, mpmath.exp(v), n), u)
+
+            u0 = mpmath.log(res.argopt)
+            root = float(mpmath.exp(mpmath.findroot(slope, (u0 - 1e-6, u0 + 1e-6),
+                                                    solver="anderson")))
+        assert res.argopt == pytest.approx(root, rel=1e-13, abs=0.0), rate
+
+
+@pytest.mark.parametrize("n,limit", [(2, math.sqrt(2.0)), (3, math.sqrt(0.6))])
+def test_equidistant_k_argopt_at_large_rates_is_the_uncorrelated_limit(n, limit):
+    # from rate 1e12 on the correlation vanishes at the optimum, where the
+    # entries make l1 = l3; comparing values of K alone places this
+    # quadratic minimum only to about sqrt(eps), the root of dK/du exactly
+    res = equidistant_k_optimal_1d(OuParams(1e12), n)
+    assert abs(res.argopt - limit) <= 2 * math.ulp(limit)
+
+
+@pytest.mark.parametrize("search,n", [("two-point", 2), ("equidistant", 2), ("equidistant", 3),
+                                      ("equidistant", 1000)])
+def test_spacing_searches_at_the_largest_rate_return_the_limit_without_warnings(search, n):
+    # rate*d overflows in the criterion's entries there, and the whole
+    # search runs under the searches' errstate.  In the limit l1 = l3 = n
+    # at d^2 = 6/((n-1)(2n-1)), and l2 = n(n-1)d/2, so K = (n + l2)/(n - l2).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if search == "two-point":
+            res = two_point_k_optimal(OuParams(1.7e308))
+        else:
+            res = equidistant_k_optimal_1d(OuParams(1.7e308), n)
+    d = math.sqrt(6.0 / ((n - 1) * (2 * n - 1)))
+    l2 = n * (n - 1) * d / 2
+    assert res.converged
+    assert res.argopt == pytest.approx(d, rel=1e-15)
+    assert res.value == pytest.approx((n + l2) / (n - l2), rel=1e-13)
 
 
 def test_equidistant_k_endpoint_divergence():
@@ -502,16 +568,17 @@ def test_singular_fim_message_names_a_number(rate):
     assert "not a number" in str(info.value)
 
 
-def test_equidistant_k_pinned_at_the_window_end_is_not_converged(monkeypatch):
-    # a window [1e-4, 1e-2] below the optimum (~0.42 at rate 1, n = 5):
-    # the refine ends at its upper end exactly
+def test_four_point_k_pinned_at_the_window_end_is_not_converged(monkeypatch):
+    # windows [1e-3, 1e-2] below the optimum (~(0.59, 0.99) at rates (1, 2)):
+    # delta ends at its window's upper end exactly
     log_axis = search._log_axis
     monkeypatch.setattr(search, "_log_axis", lambda lo, hi, points, rate: log_axis(
         lo, 1e-2, points, rate))
-    res = equidistant_k_optimal_1d(OuParams(1.0), 5)
+    res = four_point_grid_k_optimal(SheetParams(1.0, 2.0))
     assert not res.converged
-    assert res.argopt == math.exp(math.log(1e-2))
-    assert res.value == k_objective_1d(_equidistant_entries(1.0, res.argopt, 5))
+    assert res.argopt[1] == math.exp(math.log(1e-2))
+    assert res.value == grid_cond(*(_equidistant_entries(rate, d, 2)
+                                    for rate, d in zip((1.0, 2.0), res.argopt)))
 
 
 def test_equidistant_d_monotone():
@@ -677,8 +744,9 @@ def test_iterations_count_scan_and_refinement():
             > 2 * SCAN_POINTS[1])
     assert (four_point_grid_k_optimal(SheetParams(0.2, 0.3)).iterations
             > SCAN_POINTS[1]**2)
-    assert equidistant_k_optimal_1d(OuParams(1.0), 5).iterations > 2001
-    assert two_point_k_optimal(OuParams(1.0)).iterations > 2
+    # the spacing searches count the sign evaluations of one root bisection
+    assert 2 < equidistant_k_optimal_1d(OuParams(1.0), 5).iterations < 100
+    assert 2 < two_point_k_optimal(OuParams(1.0)).iterations < 100
 
 
 def test_four_point_k_large_rates_is_positive():
