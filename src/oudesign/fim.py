@@ -165,6 +165,41 @@ def _equidistant_slopes(rate: float, d: float, n: int):
     return (l1, l2, l3), (l1_u, l2_u, l3_u)
 
 
+def _free_point_slopes(rate: float, d: float):
+    """:func:`_points_entries` of {0, d, 1} on Python floats, and their
+    derivatives in x1 = rate*d.  Per gap x (x1, x2 = rate*(1 - d)): t =
+    tanh(x/2), w = t - x/(1 + cosh x) (its series below 1), e = w^2/(2x t^2),
+    c = coth x - 1/x = t - w/(x t).  Then l1 = 1 + t1 + t2, l2 = (1 + d t1 +
+    (1 + d) t2)/2, l3 = (1 + 1/rate)/2 + d t2 + (d^2 c1 + (1 - d)^2 c2)/2, and
+    with D = t2^2 - t1^2 = tanh((x2 - x1)/2)(1 - t1 t2)(t1 + t2) the
+    derivatives are D/2, (w1 + w2 + x1 D)/(2 rate) and (e2 + d(w1 - e1 + w2 -
+    e2 + x1 D/2))/rate, with 1 - t1 t2 = 2(p1 + p2)/((1 + p1)(1 + p2)), p =
+    exp(-x): no digits are lost where the textbook forms cancel."""
+    x1, x2 = rate * d, rate * (1.0 - d)
+    (t1, w1, e1, c1), (t2, w2, e2, c2) = map(_unit_gap, (x1, x2))
+    p1, p2 = math.exp(-x1), math.exp(-x2)
+    delta = math.tanh(0.5 * rate * (1.0 - 2.0 * d)) * 2.0 * (p1 + p2) / ((1.0 + p1) * (1.0 + p2))
+    delta *= t1 + t2
+    l2 = 0.5 * (1.0 + d * t1 + (1.0 + d) * t2)
+    l3 = 0.5 * (1.0 + 1.0 / rate) + d * t2 + 0.5 * (d * d * c1 + (1.0 - d) ** 2 * c2)
+    l2_x = 0.5 * (w1 + w2 + x1 * delta) / rate
+    l3_x = (e2 + d * ((w1 - e1) + (w2 - e2) + 0.5 * x1 * delta)) / rate
+    return (1.0 + t1 + t2, l2, l3), (0.5 * delta, l2_x, l3_x)
+
+
+def _unit_gap(x: float):
+    """(t, w, e, c) of one gap of :func:`_free_point_slopes`."""
+    if (t := math.tanh(0.5 * x)) == 0.0:
+        return 0.0, 0.0, 0.0, 0.0
+    if x < 1.0:
+        w = sum(x**k / math.factorial(k) for k in range(3, 21, 2)) / (1.0 + math.cosh(x))
+    else:
+        p = math.exp(-x)
+        w = t - 2.0 * (x * p) / (1.0 + p) ** 2  # x*p first: 2x overflows at the largest rates
+    q = w / t
+    return t, w, q * q / (2.0 * x), t - q / x
+
+
 def _check_equidistant_args(beta, d, n) -> None:
     """Validate rates, steps and point counts; each may be an array."""
     n = np.asarray(n, dtype=float)

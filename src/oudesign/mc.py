@@ -239,7 +239,7 @@ def run_efficiency_2d(params: SheetParams, config: McConfig) -> EffReport:
     pair = config.design_pair
     if pair is None:
         k_res = nine_point_restricted_2d(params, "K")
-        if k_res.collapsed and (k_res.boundary_margin or 0.0) > MATERIAL_COLLAPSE_RTOL:
+        if k_res.collapsed and k_res.boundary_margin > MATERIAL_COLLAPSE_RTOL:
             raise CollapsedDesignError(
                 f"K-optimal nine-point design collapsed at rates "
                 f"({beta:g}, {gamma:g}) "

@@ -1,38 +1,27 @@
 """Optimal-design searches with collapse detection.
 
-Covered design families:
+Families: three points {0, d, 1} on [0, 1] under the determinant (D) or
+condition-number (K) criterion; equidistant designs {0, d, ..., (n-1)d}
+under K, two points {0, d} being n = 2; nine-point grids {0, d, 1} x {0,
+delta, 1} on the unit square and four-point grids {0, d} x {0, delta}.
 
-* three observation points {0, d, 1} on the unit interval (one free
-  coordinate d), under the determinant or condition-number criterion;
-* equidistant designs {0, d, ..., (n-1)d} with free step d under the
-  condition-number criterion, two points {0, d} being the case n = 2;
-* nine-point restricted grids {0, d, 1} x {0, delta, 1} on the unit
-  square and four-point grids {0, d} x {0, delta} on the quarter plane.
+A search "collapses" when the infimum sits on the boundary, where points
+merge.  The three-point K search takes its flag from the two roots of the
+paper's collapse equation (:func:`collapse_interval`).
 
-A search "collapses" when the criterion's infimum is attained on the
-boundary of the design space, i.e. observation points merge.  For the
-three-point family this happens exactly when the covariance rate lies
-between the two positive roots of an explicit exponential-polynomial
-equation; :func:`collapse_interval` computes those roots, and the
-three-point K search takes its flag from them.
-
-The equidistant step is the root of dK/d(log d), bisected to the last bit
-(:func:`_spacing_search`).  The other searches share one routine
-(:func:`_refine`): a scan on the open mesh of one or two axes, then
-zooming meshes of about 2^8 points around the scan's argmin, until the
-zoom is as fine as the tolerance; each scan and zoom level is one
-criterion call, whose cost is per call rather than per point.  Scan size
-and tolerance are set per model (SCAN_POINTS, REFINE_TOL), and every
-evaluation runs under one errstate.  Unit coordinates
-(:func:`_unit_search`) are linear on [0, 1]; one has collapsed when it
-refines to exactly 0 or 1 (the zoom grids contain the clipped boundary
-and ties break toward it), and its boundary margin is measured against
-the same design with the collapsed coordinates moved MARGIN_STEP inside,
-so it does not depend on the scan.  Four-point gaps are log d from a
-floor that follows the rate, so the tolerance is relative there.  2D
-values are grouped so that swapping the two axes (and rates) is bitwise
-exact, and ties go to the smallest sorted coordinates, so the swapped
-search takes the swapped path.
+A search over one free coordinate bisects the sign of its criterion's
+derivative, in closed form on Python floats, to the last bit; its argopt
+does not follow numpy's SIMD path.  That covers the equidistant step
+(:func:`_spacing_search`) and the free point of {0, d, 1} in the
+three-point searches and on each axis of nine-point D, whose criterion
+factorizes (:func:`_free_point`).  The coupled searches, nine-point K and
+four-point, scan a SCAN_POINTS^2 mesh and zoom around its argmin to
+REFINE_TOL (:func:`_refine`), one criterion call per level; their 2D values
+are grouped so that swapping the axes and rates is bitwise exact, and ties
+go to the smallest sorted coordinates.  A unit coordinate at exactly 0 or
+1 has collapsed (:func:`_unit_search`); its boundary margin compares the
+same design with the coordinate MARGIN_STEP inside.  Every evaluation runs
+under one errstate.
 """
 
 from __future__ import annotations
@@ -45,7 +34,7 @@ import numpy as np
 
 from .exceptions import NumericalError, ValidationError
 from .fim import FimEntries1D, FimEntries2D, _check_equidistant_args, _equidistant_entries
-from .fim import _equidistant_slopes, _points_entries
+from .fim import _equidistant_slopes, _free_point_slopes, _points_entries
 from .model import OuParams, SheetParams, _check_count, _rates, _require_positive
 from .objectives import _cond3_from_entries, d_objective_1d, k_objective_1d
 
@@ -71,15 +60,16 @@ COLLAPSE_EQUATION_MAX_RATE = 170.0  # exp(4*beta) overflows just beyond this
 # Two-point's input floor, kept from the paper's spacing equation (no sign change
 # in double precision below ~1e-79.5); its spacing search holds to ~5e-154.
 TWO_POINT_MIN_RATE = 1e-75
-REFINE_POINTS = (257, 17)  # points per axis of a refine level, on one axis and on two
+REFINE_POINTS = 17  # points per axis of a refine level
 MAX_REFINE_PASSES = 3
 EDGE_GAIN_RTOL = 1e-12  # criterion rounding is ~1e-15 relative
-# Search settings per model (process, sheet), fixed for the library and the
-# CLI: scan points per axis and refine tolerance.  The sheet's scans only
-# have to land in the optimum's basin (a 31-point nine-point scan misses
-# the one at rates (1e7, 1), 2.2e-7 relative); the refine sets the precision.
-SCAN_POINTS = (2001, 41)
-REFINE_TOL = (1e-10, 1e-8)
+# Scan points per axis and refine tolerance of the coupled sheet searches: a scan
+# only has to land in the optimum's basin (31 nine-point points miss it at rates
+# (1e7, 1), 2.2e-7 relative); the refine sets the precision.
+SCAN_POINTS = 41
+REFINE_TOL = 1e-8
+FREE_POINT_CELLS = 24  # geometric cells of a free-point search's sign grid
+CENTER_STEP = 2.0**-17  # a D search's grid ends here below the center
 MARGIN_STEP = 0.005  # how far inside a collapsed coordinate's margin looks
 
 
@@ -87,14 +77,13 @@ MARGIN_STEP = 0.005  # how far inside a collapsed coordinate's margin looks
 class SearchResult:
     """Outcome of a design search.
 
-    ``argopt`` is the optimizing coordinate (or coordinate pair),
-    ``value`` the criterion value there.  ``collapsed`` marks boundary
-    optima (merged observation points); for grid searches
-    ``collapsed_axes`` flags each coordinate separately.
-    ``iterations`` counts every criterion evaluation, scan included; for
-    the equidistant and two-point searches, the sign evaluations of their
-    root bisection.  ``converged`` is False only for a four-point optimum
-    pinned at its scan window's end.
+    ``argopt`` is the optimizing coordinate or pair (for D, of the mirror
+    images d and 1 - d the one at or below 1/2), ``value`` the criterion
+    there; ``collapsed`` marks boundary optima (merged points), per axis in
+    ``collapsed_axes`` for grids.  ``iterations`` counts derivative-sign
+    evaluations (both axes' for nine-point D), nine-point K's and four-point's
+    criterion evaluations, and 2 for a collapsed three-point K.  ``converged``
+    is False only for a four-point optimum pinned at its scan window's end.
     """
 
     argopt: float | tuple[float, float]
@@ -105,11 +94,9 @@ class SearchResult:
     bracket: tuple
     collapsed_axes: tuple[bool, ...] | None = None
     # Relative criterion improvement of the boundary optimum over the same
-    # design with every collapsed coordinate moved MARGIN_STEP inside; 0
-    # for interior optima.  Collapse can be genuine yet numerically
-    # negligible (flat criterion surfaces at small rates beat the interior
-    # by ~1e-7 relative); this quantifies it.
-    boundary_margin: float | None = None
+    # design with its collapsed coordinates MARGIN_STEP inside, 0 inside: a
+    # genuine collapse can be negligible (~1e-7 on flat small-rate surfaces).
+    boundary_margin: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -129,40 +116,22 @@ class CollapseInterval:
 
 
 def collapse_equation(beta: float) -> float:
-    """Value whose two positive roots bound the collapse interval.
-
-    An exponential polynomial in the covariance rate; its sign decides
-    whether shrinking the free point of the three-point design toward the
-    boundary decreases the condition number.
-    """
+    """Value whose two positive roots bound the collapse interval: an
+    exponential polynomial in the rate, whose sign decides whether moving
+    the three-point design's free point toward 0 lowers the condition number."""
     b = _require_positive("rate", beta)
     if b > COLLAPSE_EQUATION_MAX_RATE:
-        raise ValidationError(
-            f"rate {b:g} overflows exp(4*beta); both roots lie far below"
-        )
-    e1 = math.exp(b)
-    e2 = math.exp(2.0 * b)
-    e3 = math.exp(3.0 * b)
-    e4 = math.exp(4.0 * b)
-    return (
-        (b * b - 6.0 * b + 4.0) * e4
-        + (6.0 * b * b + 6.0 * b - 10.0) * e3
-        - (11.0 * b * b - 10.0 * b - 2.0) * e2
-        + (2.0 * b * b - 6.0 * b + 10.0) * e1
-        - 2.0 * b * b
-        - 4.0 * b
-        - 6.0
-    )
+        raise ValidationError(f"rate {b:g} overflows exp(4*beta); both roots lie far below")
+    e1, e2, e3, e4 = (math.exp(k * b) for k in (1.0, 2.0, 3.0, 4.0))
+    return ((b * b - 6.0 * b + 4.0) * e4 + (6.0 * b * b + 6.0 * b - 10.0) * e3
+            - (11.0 * b * b - 10.0 * b - 2.0) * e2 + (2.0 * b * b - 6.0 * b + 10.0) * e1
+            - 2.0 * b * b - 4.0 * b - 6.0)
 
 
 @functools.cache
 def collapse_interval() -> CollapseInterval:
     """Both positive roots of :func:`collapse_equation`, bisected to the
-    last bit once per process.
-
-    The lower root sits in (0.01, 1), the upper in (1, 10); bracket
-    failure would signal a transcription bug in the equation itself.
-    """
+    last bit once per process: the lower in (0.01, 1), the upper in (1, 10)."""
     lower, _ = _bisect(collapse_equation, 1e-2, 1.0)
     upper, _ = _bisect(collapse_equation, 1.0, 10.0)
     return CollapseInterval(lower, upper)
@@ -207,9 +176,9 @@ def _refine(f, axes, index, tol):
     """Refine the scan point ``index`` within the axes' range until every
     half-width is at most ``tol``; returns (point, value, evaluations).
 
-    A level re-grids p = REFINE_POINTS[len(axes) - 1] points per axis
-    around the running argmin, starting from the scan spacing, and shrinks
-    every half-width w by 4/(p - 1): the new half-width is twice the old
+    A level re-grids p = REFINE_POINTS points per axis around the running
+    argmin, starting from the scan spacing, and shrinks every half-width w
+    by 4/(p - 1): the new half-width is twice the old
     spacing 2w/(p - 1), so a minimum unimodal along each axis is never lost.
     Every grid holds the running argmin, and a grid clipped at the range
     holds its end exactly.  In a narrow valley across two axes the coarse
@@ -217,7 +186,6 @@ def _refine(f, axes, index, tol):
     pass where an edge point beat the window's center by more than
     rounding is repeated from its result while that lowers the value.
     """
-    points = REFINE_POINTS[len(axes) - 1]
     lo, hi = [float(a[0]) for a in axes], [float(a[-1]) for a in axes]
     w0 = [float(a[1] - a[0]) for a in axes]
     x = [float(a[i]) for a, i in zip(axes, index)]
@@ -225,7 +193,7 @@ def _refine(f, axes, index, tol):
     for _ in range(MAX_REFINE_PASSES):
         w, edged = w0, False
         while True:
-            grids = [np.linspace(max(a, c - h), min(b, c + h), points)
+            grids = [np.linspace(max(a, c - h), min(b, c + h), REFINE_POINTS)
                      for c, h, a, b in zip(x, w, lo, hi)]
             center = tuple(int(np.argmin(np.abs(g - c))) for g, c in zip(grids, x))
             for g, c, j in zip(grids, x, center):
@@ -236,9 +204,9 @@ def _refine(f, axes, index, tol):
             x = [float(g[j]) for g, j in zip(grids, k)]
             gain = values[center] - values[k]
             edged = edged or gain > EDGE_GAIN_RTOL * abs(values[k]) and any(
-                j in (0, points - 1) and c not in (a, b) for j, c, a, b in zip(k, x, lo, hi)
+                j in (0, REFINE_POINTS - 1) and c not in (a, b) for j, c, a, b in zip(k, x, lo, hi)
             )
-            w = [4 / (points - 1) * h for h in w]
+            w = [4 / (REFINE_POINTS - 1) * h for h in w]
             if max(w) <= tol:
                 break
         if not values[k] < value:
@@ -278,8 +246,7 @@ def _checked_value(value, criterion, *rates):
         where = ", ".join(f"{r:g}" for r in rates)
         raise NumericalError(
             f"{criterion} search at rate{'s' * (len(rates) > 1)} {where} finds no positive "
-            f"finite criterion value (best {value:g}) in double precision"
-        )
+            f"finite criterion value (best {value:g}) in double precision")
     return float(value)
 
 
@@ -296,58 +263,96 @@ def _log_axis(lo, hi, points, rate):
 _QUIET = {"divide": "ignore", "over": "ignore", "invalid": "ignore"}
 
 
-def _unit_search(f, crit, rates, find=None):
+def _unit_search(crit, rates, point, value, evaluations, f=None):
     """Result of a search over the free coordinates d of {0, d, 1}, one
-    unit axis per rate.  f is minimized (a D search passes minus its
-    criterion); ``find(axes, tol)``, by default a scan and refine of f,
-    returns (point, value, evaluations)."""
-    model = len(rates) - 1
-    axes = (np.linspace(0.0, 1.0, SCAN_POINTS[model]),) * len(rates)
+    unit axis per rate, that found ``point`` and its criterion ``value`` in
+    ``evaluations``.  A coordinate at exactly 0 or 1 has collapsed; only K
+    searches collapse, and pass their criterion f for the boundary margin."""
     with np.errstate(**_QUIET):
-        point, value, evaluations = (find or functools.partial(_scan_refine, f))(
-            axes, REFINE_TOL[model])
         collapsed, margin = tuple(c in (0.0, 1.0) for c in point), 0.0
         if any(collapsed):
             # 0 -> MARGIN_STEP and 1 -> 1 - MARGIN_STEP
             inside = [abs(c - MARGIN_STEP) if k else c for c, k in zip(point, collapsed)]
             margin, evaluations = (float(f(*inside)) - value) / abs(value), evaluations + 1
-    return SearchResult(
-        argopt=point if model else point[0],
-        value=_checked_value(-value if crit == "D" else value, crit, *rates),
-        converged=True,
-        collapsed=any(collapsed),
-        iterations=evaluations,
-        bracket=((0.0, 1.0),) * len(rates) if model else (0.0, 1.0),
-        collapsed_axes=collapsed if model else None,
-        boundary_margin=margin,
-    )
+    grid = len(rates) == 2
+    return SearchResult(argopt=tuple(point) if grid else point[0],
+                        value=_checked_value(value, crit, *rates), converged=True,
+                        collapsed=any(collapsed), iterations=evaluations,
+                        bracket=((0.0, 1.0),) * 2 if grid else (0.0, 1.0),
+                        collapsed_axes=collapsed if grid else None, boundary_margin=margin)
+
+
+def _k_slope(entries, slopes):
+    """The sign of dK/du from 2x2 entries and their u-derivatives: K + 1/K +
+    2 = tr^2/det, so that of 2 det tr_u - tr det_u = (l1 - l3)(l3 l1_u - l1 l3_u)
+    + 2 l2((l1 + l3) l2_u - l2(l1_u + l3_u)), over tr^2 to stay finite."""
+    (l1, l2, l3), (l1_u, l2_u, l3_u) = entries, slopes
+    tr = l1 + l3
+    a, b, c = l1 / tr, l2 / tr, l3 / tr
+    return (l1 - l3) / tr * (c * l1_u - a * l3_u) + 2.0 * b * (l2_u - b * (l1_u + l3_u))
+
+
+def _unit_criterion(crit, rate, d, axis=False):
+    """K, D or, on a nine-point D ``axis``, l1*det of {0, d, 1}; batched over d."""
+    e = _points_entries(rate, _free_point_design(d))
+    return k_objective_1d(e) if crit == "K" else d_objective_1d(e) * (e.l1 if axis else 1.0)
+
+
+def _free_point(crit, rate, axis=False):
+    """(d, criterion, sign evaluations) at the best free point d of {0, d, 1}
+    (:func:`_unit_criterion`): each minus-to-plus change of the slope (of -D
+    for D) on 0 and FREE_POINT_CELLS geometric cells from min(1e-3, 1e-3/rate)
+    is bisected.  Each criterion falls from the merged design at 0 (K outside
+    the collapse interval).  K's grid ends at 1; mirror-symmetric D's at 1/2 -
+    CENTER_STEP, the center being optimal if no root is found.  Slopes below
+    rate 1e-50 underflow: they are taken there, where every root is 1/2."""
+    r, top = max(rate, 1e-50), 1.0 if crit == "K" else 0.5 - CENTER_STEP
+
+    def slope(d):
+        if not d:
+            return -1.0
+        entries, slopes = _free_point_slopes(r, d)
+        if crit == "K":
+            return _k_slope(entries, slopes)
+        (l1, l2, l3), (l1_x, l2_x, l3_x) = entries, slopes
+        det_x = l1_x * l3 + l1 * l3_x - 2.0 * l2 * l2_x
+        return -(l1_x * (l1 * l3 - l2 * l2) + l1 * det_x) if axis else -det_x
+
+    lo, hi = math.log(min(1e-3, 1e-3 / rate)), math.log(top)
+    cells = [math.exp(lo + k / FREE_POINT_CELLS * (hi - lo)) for k in range(FREE_POINT_CELLS)]
+    grid = [0.0, *cells, top]
+    falling = [slope(d) < 0.0 for d in grid]
+    roots, evaluations = [], len(grid) - 1
+    for a, b, fa, fb in zip(grid, grid[1:], falling, falling[1:]):
+        if fa and not fb:
+            root, n = _bisect(slope, a, b)
+            roots.append(root)
+            evaluations += n
+    with np.errstate(**_QUIET):
+        value, best = (min if crit == "K" else max)(
+            (float(_unit_criterion(crit, rate, d, axis)), d) for d in roots or [0.5])
+    if (not roots and crit == "K") or not rate * min(best, 1.0 - best) > 0.0:  # gaps underflow
+        raise NumericalError(f"{crit} search at rate {rate:g} finds no optimum in double precision")
+    return best, value, evaluations
 
 
 def three_point_restricted_1d(params: OuParams, criterion: str = "D") -> SearchResult:
     """Optimal free point d of the design {0, d, 1} on [0, 1].
 
     Criterion "D" maximizes the determinant: the maximum sits at the
-    center d = 1/2 for rates up to ~7.1566 and then splits into two
-    mirror-symmetric interior maxima that migrate toward the ends (the
-    uncorrelated-limit behavior).  Criterion "K" minimizes the condition
-    number; its infimum is attained at d in {0, 1} exactly for rates
-    inside :func:`collapse_interval`, so there the paper's collapse
-    equation decides and the merged design {0, 1} (argopt 0) is reported
-    without a scan.
+    center d = 1/2 for rates up to ~7.1564 and then splits into two
+    mirror-symmetric maxima that migrate toward the ends; the one below 1/2
+    is reported.  Criterion "K" minimizes the condition number, attained at
+    d in {0, 1} exactly inside :func:`collapse_interval`, where the merged
+    design {0, 1} (argopt 0) is reported without a search.
     """
     crit = _check_criterion(criterion)
     (beta,) = _rates(params, OuParams)
-
-    def f(d):
-        e = _points_entries(beta, _free_point_design(d))
-        return -d_objective_1d(e) if crit == "D" else k_objective_1d(e)
-
-    find = None
+    f = functools.partial(_unit_criterion, crit, beta)
     if crit == "K" and collapse_interval().contains(beta):
-        def find(axes, tol):
-            return (0.0,), float(f(0.0)), 1
-
-    return _unit_search(f, crit, (beta,), find)
+        return _unit_search(crit, (beta,), (0.0,), float(f(0.0)), 1, f)
+    d, value, evaluations = _free_point(crit, beta)
+    return _unit_search(crit, (beta,), (d,), value, evaluations, f)
 
 
 def _check_criterion(criterion: str) -> str:
@@ -362,17 +367,12 @@ def _spacing_search(rate: float, n: int) -> SearchResult:
     u = log(d/scale), bisected to the last bit on the window
     [min(1e-4, 1e-2*rate/(n-1)), 1e4], which follows the optimum's rate/(n-1)
     at small rates; scale = min(1, rate)/(n-1) keeps an ulp of u near one of
-    d.  As K + 1/K + 2 = tr^2/det, dK/du has the sign of 2*det*tr_u - tr*det_u
-    = (l1 - l3)(l3*l1_u - l1*l3_u) + 2*l2*((l1 + l3)*l2_u - l2*(l1_u + l3_u)),
-    taken over tr^2: finite, and with no cancelling terms where K is near 1.
-    Entries that overflow at the window's floor (rate < ~1e-153) are singular."""
+    d.  Entries that overflow at the window's floor (rate < ~1e-153) are
+    singular."""
     lo, hi, scale = min(1e-4, 1e-2 * rate / (n - 1)), 1e4, min(1.0, rate) / (n - 1)
 
     def slope(u):
-        (l1, l2, l3), (l1_u, l2_u, l3_u) = _equidistant_slopes(rate, scale * math.exp(u), n)
-        tr = l1 + l3
-        a, b, c = l1 / tr, l2 / tr, l3 / tr
-        return (l1 - l3) / tr * (c * l1_u - a * l3_u) + 2.0 * b * (l2_u - b * (l1_u + l3_u))
+        return _k_slope(*_equidistant_slopes(rate, scale * math.exp(u), n))
 
     with np.errstate(**_QUIET):
         try:
@@ -383,8 +383,7 @@ def _spacing_search(rate: float, n: int) -> SearchResult:
         root = scale * math.exp(u)
         value = k_objective_1d(_equidistant_entries(rate, root, n))
     return SearchResult(argopt=root, value=_checked_value(value, "K", rate), converged=True,
-                        collapsed=False, iterations=evaluations, bracket=(lo, hi),
-                        boundary_margin=0.0)
+                        collapsed=False, iterations=evaluations, bracket=(lo, hi), boundary_margin=0.0)
 
 
 def two_point_k_optimal(params: OuParams) -> SearchResult:
@@ -423,46 +422,31 @@ def equidistant_d_monotone_check(params: OuParams, n: int, d_grid) -> bool:
 
 
 def nine_point_restricted_2d(params: SheetParams, criterion: str = "D") -> SearchResult:
-    """Optimal free coordinates (d, delta) of the grid
-    {0, d, 1} x {0, delta, 1} on the unit square.
+    """Optimal free coordinates (d, delta) of the grid {0, d, 1} x {0, delta,
+    1} on the unit square.
 
     Criterion "D" maximizes the determinant, which factorizes as
     (l1*det_s) * (m1*det_t): each coordinate is optimized on its own axis
-    and sits at 1/2 for axis rates up to ~9.1780, migrating off-center
-    above that.  Criterion "K" minimizes the condition number, flagging
-    collapse per coordinate when a minimizing coordinate reaches {0, 1}.
+    (:func:`_free_point`) and sits at 1/2 for axis rates up to ~9.1778,
+    migrating off-center above that.  Criterion "K" minimizes the condition
+    number, flagging collapse per coordinate at {0, 1}.
     """
     crit = _check_criterion(criterion)
     beta, gamma = _rates(params, SheetParams)
 
-    if crit == "D":
-
-        def axis_factor(rate):  # minus l1*det of one axis
-            def f(d):
-                e = _points_entries(rate, _free_point_design(d))
-                return -(e.l1 * d_objective_1d(e))
-
-            return f
-
-        fs, ft = axis_factor(beta), axis_factor(gamma)
-
-        def f2(d, dl):
-            return -(fs(d) * ft(dl))
-
-        def find(axes, tol):  # one scan and refine per axis
-            ((x,), fx, ex), ((y,), fy, ey) = (
-                _scan_refine(f, (axis,), tol) for f, axis in zip((fs, ft), axes)
-            )
-            return (x, y), -(fx * fy), ex + ey
-
-        return _unit_search(f2, crit, (beta, gamma), find)
+    if crit == "D":  # the determinant is the product of the axes' l1*det
+        (d, vs, es), (dl, vt, et) = (_free_point(crit, r, axis=True) for r in (beta, gamma))
+        return _unit_search(crit, (beta, gamma), (d, dl), vs * vt, es + et)
 
     def f2(d, dl):
         s = _points_entries(beta, _free_point_design(d))
         t = _points_entries(gamma, _free_point_design(dl))
         return _cond3_from_entries(FimEntries2D(s, t))[0]
 
-    return _unit_search(f2, crit, (beta, gamma))
+    axes = (np.linspace(0.0, 1.0, SCAN_POINTS),) * 2
+    with np.errstate(**_QUIET):
+        point, value, evaluations = _scan_refine(f2, axes, REFINE_TOL)
+    return _unit_search(crit, (beta, gamma), point, value, evaluations, f2)
 
 
 def four_point_grid_k_optimal(params: SheetParams) -> SearchResult:
@@ -470,7 +454,7 @@ def four_point_grid_k_optimal(params: SheetParams) -> SearchResult:
     {0, d} x {0, delta} over the open quarter plane.
 
     Each axis is scanned in log d from min(1e-3, rate/10) up to 1e3 and
-    refined to REFINE_TOL[1] relative; an optimum pinned at a scan
+    refined to REFINE_TOL relative; an optimum pinned at a scan
     window's end reports ``converged=False``.
     """
     beta, gamma = rates = _rates(params, SheetParams)
@@ -480,19 +464,14 @@ def four_point_grid_k_optimal(params: SheetParams) -> SearchResult:
         return _cond3_from_entries(FimEntries2D(s, t))[0]
 
     windows = tuple((min(1e-3, 0.1 * rate), 1e3) for rate in rates)
-    axes = tuple(_log_axis(lo, hi, SCAN_POINTS[1], rate) for (lo, hi), rate in zip(windows, rates))
+    axes = tuple(_log_axis(lo, hi, SCAN_POINTS, rate) for (lo, hi), rate in zip(windows, rates))
     with np.errstate(**_QUIET):
-        uv, value, evaluations = _scan_refine(f2, axes, REFINE_TOL[1])
-    return SearchResult(
-        argopt=tuple(math.exp(c) for c in uv),
-        value=_checked_value(value, "K", *rates),
-        converged=not any(c in (a[0], a[-1]) for c, a in zip(uv, axes)),
-        collapsed=False,
-        iterations=evaluations,
-        bracket=windows,
-        collapsed_axes=(False, False),
-        boundary_margin=0.0,
-    )
+        uv, value, evaluations = _scan_refine(f2, axes, REFINE_TOL)
+    return SearchResult(argopt=tuple(math.exp(c) for c in uv),
+                        value=_checked_value(value, "K", *rates),
+                        converged=not any(c in (a[0], a[-1]) for c, a in zip(uv, axes)),
+                        collapsed=False, iterations=evaluations, bracket=windows,
+                        collapsed_axes=(False, False), boundary_margin=0.0)
 
 
 @dataclass(frozen=True)
@@ -517,26 +496,12 @@ class KoptSurfacePoint2D:
 def kopt_curve_1d(betas) -> list[KoptCurvePoint1D]:
     """Condition-number-optimal three-point coordinate per rate value;
     collapsed entries report d_opt at the boundary (0 or 1)."""
-    rows = []
-    for b in betas:
-        res = three_point_restricted_1d(OuParams(float(b)), "K")
-        rows.append(
-            KoptCurvePoint1D(float(b), float(res.argopt), res.value, res.collapsed)
-        )
-    return rows
+    results = ((b, three_point_restricted_1d(OuParams(b), "K")) for b in map(float, betas))
+    return [KoptCurvePoint1D(b, float(r.argopt), r.value, r.collapsed) for b, r in results]
 
 
 def kopt_surface_2d(betas, gammas) -> list[KoptSurfacePoint2D]:
     """Condition-number-optimal nine-point coordinates over a rate grid."""
-    rows = []
-    for b in betas:
-        for g in gammas:
-            res = nine_point_restricted_2d(SheetParams(float(b), float(g)), "K")
-            d_opt, delta_opt = res.argopt
-            cx, cy = res.collapsed_axes
-            rows.append(
-                KoptSurfacePoint2D(
-                    float(b), float(g), d_opt, delta_opt, res.value, cx, cy
-                )
-            )
-    return rows
+    cells = ((float(b), float(g)) for b in betas for g in gammas)
+    results = ((c, nine_point_restricted_2d(SheetParams(*c), "K")) for c in cells)
+    return [KoptSurfacePoint2D(*c, *r.argopt, r.value, *r.collapsed_axes) for c, r in results]

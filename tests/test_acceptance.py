@@ -5,7 +5,7 @@ report.  Every tolerance is pinned here, not deferred.
 
 Criterion 2 contains two sub-cases (rate 50 in 1D, rates (10, 30) in 2D)
 that assert the published equidistance claim where it is numerically
-false: above rate ~7.1566 (1D) / ~9.1780 (per 2D axis) the determinant
+false: above rate ~7.1564 (1D) / ~9.1778 (per 2D axis) the determinant
 objective's maximum provably migrates away from the center (verified
 against both the closed-form objective and the definitional dense-solve
 information matrix, which agree to 12+ digits).  Those sub-cases are
@@ -13,6 +13,8 @@ implemented exactly as stated and marked strict expected-failure rather
 than weakened.
 """
 
+import importlib.util
+import pathlib
 import time
 
 import numpy as np
@@ -55,6 +57,13 @@ from oudesign._reference import fim_definitional_1d, fim_definitional_2d
 from helpers import cond3_closed, random_design, random_grid, random_pd_matrix
 
 SEED = 7
+# The benchmark's exact-moment oracle (numpy only), and its window on the
+# standardized distance of a simulated MSE from the exact one.
+_ORACLE_SPEC = importlib.util.spec_from_file_location(
+    "bench_oracle", pathlib.Path(__file__).resolve().parents[1] / "bench" / "oracle.py")
+ORACLE = importlib.util.module_from_spec(_ORACLE_SPEC)
+_ORACLE_SPEC.loader.exec_module(ORACLE)
+PAPER_Z_MAX = 6.0
 
 
 def report(number, checks, elapsed, budget, extra=""):
@@ -86,15 +95,15 @@ def test_criterion_2_d_optimal_equidistance_attainable_cases():
     for beta in (0.1, 0.5718, 1.0, 5.0):
         res = three_point_restricted_1d(OuParams(beta), "D")
         checks.append(
-            (f"1D rate {beta}: d_opt={res.argopt:.8f}", abs(res.argopt - 0.5) <= 1e-6)
+            (f"1D rate {beta}: d_opt={res.argopt!r}", res.argopt == 0.5)
         )
     for beta, gamma in ((1.0, 1.0), (0.2, 0.3)):
         res = nine_point_restricted_2d(SheetParams(beta, gamma), "D")
         d, dl = res.argopt
         checks.append(
             (
-                f"2D rates ({beta},{gamma}): ({d:.7f},{dl:.7f})",
-                abs(d - 0.5) <= 1e-5 and abs(dl - 0.5) <= 1e-5,
+                f"2D rates ({beta},{gamma}): ({d!r},{dl!r})",
+                d == dl == 0.5,
             )
         )
     elapsed = time.perf_counter() - t0
@@ -304,6 +313,19 @@ def test_criterion_8_table_reproduction():
     report(8, checks, elapsed, 600.0)
 
 
+def exact_mse_checks(rows, config):
+    """Each row's simulated MSEs against the exact GLS MSE of the design
+    simulated: the K search's {0, d, 1} and the center {0, 1/2, 1}."""
+    checks = []
+    for r in rows:
+        d = three_point_restricted_1d(OuParams(r.beta), "K").argopt
+        for name, mse, point in (("mse_k", r.mse_k, d), ("mse_d", r.mse_d, 0.5)):
+            moments = ORACLE.gls_exact_1d(r.beta, (0.0, point, 1.0), config.sigma)
+            z = ORACLE.mc_z(mse, moments, config.replicates)
+            checks.append((f"rate {r.beta:.4g} {name} z={z:.2f}", abs(z) <= PAPER_Z_MAX))
+    return checks
+
+
 def test_criterion_9_efficiency_curve():
     t0 = time.perf_counter()
     ci = collapse_interval()
@@ -315,6 +337,7 @@ def test_criterion_9_efficiency_curve():
          f"{max(r.eff_percent for r in rows):.2f}] within [95,105]",
          all(95.0 <= r.eff_percent <= 105.0 for r in rows))
     ]
+    checks += exact_mse_checks(rows, config)
     upper = np.geomspace(ci.upper + 0.05, 100.0, 25)
     rows = efficiency_curve(upper, config)
     high = [r for r in rows if r.beta >= 20.0]
@@ -322,6 +345,7 @@ def test_criterion_9_efficiency_curve():
         (f"upper interval: eff < 100 for all {len(high)} rates >= 20",
          all(r.eff_percent < 100.0 for r in high))
     )
+    checks += exact_mse_checks(rows, config)
     elapsed = time.perf_counter() - t0
     report(9, checks, elapsed, 600.0)
 

@@ -344,6 +344,48 @@ def test_header_lists_the_parsed_options(runner, path):
     assert set(keys) == expected
 
 
+# Every rate-like option and --sigma of a leaf command takes each of these
+# values in turn: invalid ones, subnormals, tiny and huge rates, the largest
+# double, inf and nan.
+SWEEP_VALUES = ["0", "-1", "5e-324", "1e-320", "1e-300", "1e-160", "1e-12", "1e7", "1e9", "1e12",
+                "1e154", "1e300", "1.7e308", "inf", "nan"]
+SWEEP_OPTIONS = {"beta", "gamma", "beta_min", "beta_max", "gamma_min", "gamma_max", "param_min",
+                 "param_max", "sigma"}
+
+
+def sweep_argvs(path):
+    """``path``'s LEAF_ARGS command line with one swept option set to each
+    of SWEEP_VALUES (appended where the line does not give it)."""
+    for param in leaf_commands()[path].params:
+        if param.name in SWEEP_OPTIONS:
+            option = "--" + param.name.replace("_", "-")
+            args = list(LEAF_ARGS[path])
+            if option not in args:
+                args += [option, ""]
+            at = args.index(option) + 1
+            for value in SWEEP_VALUES:
+                args[at] = value
+                yield [*path.split(), *args]
+
+
+@pytest.mark.parametrize("path", LEAF_ARGS)
+def test_every_rate_and_sigma_exits_cleanly_with_finite_rows(runner, path):
+    # exit 0, 2 or 3 and no traceback, in both formats; a JSON row of a
+    # successful run holds no null (a non-finite number) but in simulate
+    # curve's collapsed rows, which are marked and carry no simulation
+    for argv in sweep_argvs(path):
+        for fmt in ("csv", "json"):
+            result = runner.invoke(main, ["--format", fmt, *argv])
+            assert result.exit_code in (0, 2, 3), (argv, result.output, result.exception)
+            assert "Traceback" not in result.output + result.stderr, argv
+            if fmt == "json" and result.exit_code == 0:
+                doc = json.loads(result.output)
+                collapsed = doc["columns"].index("collapsed") if path == "simulate curve" else None
+                for row in doc["rows"]:
+                    marked = collapsed is not None and row[collapsed]
+                    assert None not in row or marked, (argv, row)
+
+
 SEARCH_TOLERANCE_ARGVS = [
     ["optimize", "three-point", "--beta", "1", "--criterion", "K", "--refine-tol"],
     ["optimize", "nine-point", "--beta", "1", "--gamma", "2", "--criterion", "K", "--refine-tol"],

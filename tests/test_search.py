@@ -34,7 +34,7 @@ from oudesign import (
 from oudesign import search
 from oudesign.fim import _equidistant_entries, _points_entries
 from oudesign.objectives import _cond3_from_entries
-from oudesign.search import SCAN_POINTS, TWO_POINT_MIN_RATE
+from oudesign.search import FREE_POINT_CELLS, SCAN_POINTS, TWO_POINT_MIN_RATE
 from helpers import TABLE1_CELLS, grid_k_digits, k_60_digits, k_from_r
 
 # positive roots of the collapse equation, 4 decimals
@@ -109,7 +109,8 @@ def test_collapse_interval_roots_to_the_last_bits():
 def test_three_point_k_collapse_follows_the_collapse_equation():
     # 41 rates in root*[0.999, 1.001] around each root: the flag is the
     # interval's, and a collapsed design is the merged {0, 1} found in
-    # two evaluations (the design and the margin's point inside)
+    # two evaluations (the design and the margin's point inside); the others
+    # are searched, on the sign grid and in at least one bisection
     ci = collapse_interval()
     for root in (ci.lower, ci.upper):
         for beta in root * np.linspace(0.999, 1.001, 41):
@@ -122,7 +123,7 @@ def test_three_point_k_collapse_follows_the_collapse_equation():
                 assert res.boundary_margin > 0.0
                 assert res.iterations == 2
             else:
-                assert res.iterations > SCAN_POINTS[0]
+                assert FREE_POINT_CELLS + 1 < res.iterations < 200
 
 
 def test_boundary_slope_changes_sign_at_roots():
@@ -143,7 +144,7 @@ def test_boundary_slope_changes_sign_at_roots():
 @pytest.mark.parametrize("beta", [0.1, 0.5, 0.5718, 1.0, 5.0, 7.0])
 def test_three_point_d_optimum_is_equidistant_moderate_rates(beta):
     res = three_point_restricted_1d(OuParams(beta), "D")
-    assert res.argopt == pytest.approx(0.5, abs=1e-6)
+    assert res.argopt == 0.5
     assert not res.collapsed
     assert res.converged
 
@@ -154,7 +155,7 @@ def test_three_point_d_optimum_is_equidistant_moderate_rates(beta):
 )
 def test_three_point_d_optimum_migrates_at_large_rates(beta, offcenter):
     # the determinant objective is reflection-symmetric in d <-> 1-d; above
-    # rate ~7.1566 the center becomes a local minimum and two symmetric
+    # rate ~7.1564 the center becomes a local minimum and two symmetric
     # global maxima appear, confirmed by the definitional dense-solve FIM
     res = three_point_restricted_1d(OuParams(beta), "D")
     assert min(res.argopt, 1.0 - res.argopt) == pytest.approx(offcenter, abs=1e-4)
@@ -231,6 +232,119 @@ def test_three_point_first_order_condition():
     h = 1e-4
     grad = (three_point_k(0.3, res.argopt + h) - three_point_k(0.3, res.argopt - h)) / (2 * h)
     assert abs(grad) <= 1e-5 * (1.0 + abs(res.value))
+
+
+def unit_criteria_digits(mpmath, rate, d):
+    """K, D (det) and the nine-point D axis factor l1*det of {0, d, 1} at
+    mpmath's working precision, from the textbook closed-form entries."""
+    b, d = mpmath.mpf(rate), mpmath.mpf(d)
+    l1, l2, l3 = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0)
+    for lo, hi in ((0, d), (d, 1)):
+        p = mpmath.exp(-b * (hi - lo))
+        u = hi - lo * p
+        l1, l2, l3 = l1 + (1 - p) / (1 + p), l2 + u / (1 + p), l3 + u * u / (1 - p * p)
+    det = l1 * l3 - l2 * l2
+    lam_max = (l1 + l3 + mpmath.sqrt((l1 - l3) ** 2 + 4 * l2 * l2)) / 2
+    return {"K": lam_max * lam_max / det, "D": det, "axis": l1 * det}
+
+
+def free_point_search(kind, rate):
+    """The search whose free point is the optimum of ``kind``: three-point
+    K or D, or nine-point D, whose t axis (rate 1) sits at the center."""
+    if kind == "axis":
+        return nine_point_restricted_2d(SheetParams(rate, 1.0), "D")
+    return three_point_restricted_1d(OuParams(rate), kind)
+
+
+def free_point(res):
+    return res.argopt[0] if isinstance(res.argopt, tuple) else res.argopt
+
+
+@pytest.mark.parametrize("kind", ["K", "D", "axis"])
+def test_free_point_argopt_is_the_60_digit_root(kind):
+    # quarter decades 1e-6..1e7 (K outside the collapse interval): the free
+    # point against a 60-digit root of the criterion's derivative, found by
+    # a bracketing solver on mpmath's numerical derivative (a center optimum
+    # against the sign of the 60-digit second derivative there), and the
+    # value against the 60-digit optimum, so no value is worse than the
+    # optimum beyond the criterion's rounding
+    mpmath = pytest.importorskip("mpmath")
+    ci = collapse_interval()
+    for rate in (10.0 ** (k / 4) for k in range(-24, 29)):
+        if kind == "K" and ci.contains(rate):
+            continue
+        res = free_point_search(kind, rate)
+        d = free_point(res)
+        with mpmath.workdps(60):
+            def f(x):
+                return unit_criteria_digits(mpmath, rate, x)[kind]
+
+            if d == 0.5:
+                assert mpmath.diff(f, d, 2) < 0, rate
+                root = mpmath.mpf(d)
+            else:
+                bracket = (d * (1 - 1e-6), d * (1 + 1e-6))
+                root = mpmath.findroot(lambda x: mpmath.diff(f, x), bracket, solver="anderson")
+            t_axis = unit_criteria_digits(mpmath, 1.0, 0.5)["axis"] if kind == "axis" else 1
+            optimum = f(root) * t_axis
+        assert d == pytest.approx(float(root), rel=1e-12, abs=0.0), rate
+        assert res.value == pytest.approx(float(optimum), rel=1e-15), rate
+
+
+def test_three_point_k_at_rate_1e12_is_the_60_digit_root():
+    # the optimum sits at rate*d ~ 13.47, far inside the first cell of any
+    # linear scan of the unit interval
+    mpmath = pytest.importorskip("mpmath")
+    res = three_point_restricted_1d(OuParams(1e12), "K")
+    with mpmath.workdps(60):
+        def slope(x):
+            return mpmath.diff(lambda y: unit_criteria_digits(mpmath, 1e12, y)["K"], x)
+
+        d = res.argopt
+        root = mpmath.findroot(slope, (d * (1 - 1e-6), d * (1 + 1e-6)), solver="anderson")
+    assert res.converged and not res.collapsed
+    assert abs(1e12 * res.argopt - float(1e12 * root)) <= 1e-9
+    assert 13.4689 < 1e12 * res.argopt < 13.4690
+
+
+@pytest.mark.parametrize("kind,split", [("D", 7.15644), ("axis", 9.17778)])
+def test_d_optimum_is_the_center_up_to_the_split_and_the_lower_mirror_above(kind, split):
+    # the split is the rate where the criterion's second derivative at 1/2
+    # vanishes (60 digits); at or below it the optimum is exactly 1/2, above
+    # it the one of the two mirror optima below 1/2
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        def curvature(rate):
+            return mpmath.diff(lambda x: unit_criteria_digits(mpmath, rate, x)[kind], 0.5, 2)
+
+        exact = float(mpmath.findroot(curvature, (split - 0.01, split + 0.01), solver="anderson"))
+    assert exact == pytest.approx(split, abs=1e-5)
+    for rate in exact * np.array([1e-9, 0.5, 0.99, 1 - 1e-6]):
+        assert free_point(free_point_search(kind, rate)) == 0.5, rate
+    for rate in [exact * (1 + 1e-4), exact * 1.01, 2 * exact, 1e3, 1e5, 1e7, 1e12, 1.7e308]:
+        d = free_point(free_point_search(kind, rate))
+        assert 0.0 < d < 0.5, rate
+
+
+def test_free_point_searches_from_1e_minus_160_to_the_largest_rate():
+    # decades 1e-160..1e308 and 1.7e308: each search returns a converged
+    # result, with no numpy warning, or raises NumericalError where K
+    # overflows (rates below ~5.6e-155); D optima lie at or below 1/2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rate in [10.0**k for k in range(-160, 309)] + [1.7e308]:
+            for kind in ("K", "D", "axis"):
+                try:
+                    res = free_point_search(kind, rate)
+                except NumericalError:
+                    assert kind == "K" and rate < 1e-154, rate
+                    continue
+                d = free_point(res)
+                assert res.converged and 0.0 <= d <= (1.0 if kind == "K" else 0.5), (kind, rate)
+                assert 0.0 < res.value < math.inf, (kind, rate)
+        for kind in ("K", "D", "axis"):  # every scaled gap of {0, 1/2, 1} underflows to 0
+            with pytest.raises(NumericalError):
+                free_point_search(kind, 5e-324)
 
 
 def test_three_point_criterion_validation():
@@ -610,7 +724,7 @@ def test_nine_point_d_optimum_is_directionally_equidistant(beta, gamma):
 
 def test_nine_point_d_migrates_at_large_rates():
     # the grid determinant factorizes per axis; each axis factor's argmax
-    # leaves the center above rate ~9.178 (same mechanism as 1D)
+    # leaves the center above rate ~9.1778 (same mechanism as 1D)
     res = nine_point_restricted_2d(SheetParams(10.0, 30.0), "D")
     d, dl = res.argopt
 
@@ -647,10 +761,10 @@ def test_nine_point_k_boundary_margin_does_not_depend_on_scan(monkeypatch):
     assert len(cells) == 20
 
     def searches(resolution):
-        monkeypatch.setattr("oudesign.search.SCAN_POINTS", (SCAN_POINTS[0], resolution))
+        monkeypatch.setattr("oudesign.search.SCAN_POINTS", resolution)
         return [nine_point_restricted_2d(SheetParams(*c), "K") for c in cells + [(2.0, 2.0)]]
 
-    assert SCAN_POINTS[1] == 41
+    assert SCAN_POINTS == 41
     for coarse, fine in zip(searches(41), searches(201)):
         assert coarse.collapsed_axes == fine.collapsed_axes
         assert coarse.boundary_margin == pytest.approx(fine.boundary_margin, rel=1e-6, abs=1e-14)
@@ -736,14 +850,16 @@ def test_four_point_small_rate_converges(beta):
 
 
 def test_iterations_count_scan_and_refinement():
-    assert three_point_restricted_1d(OuParams(0.3), "K").iterations > SCAN_POINTS[0]
+    # the free-point searches count the sign evaluations of their grid and
+    # bisections, nine-point D those of both axes
+    assert FREE_POINT_CELLS + 1 < three_point_restricted_1d(OuParams(0.3), "K").iterations < 200
+    assert FREE_POINT_CELLS + 1 < three_point_restricted_1d(OuParams(20.0), "D").iterations < 200
+    assert (2 * (FREE_POINT_CELLS + 1)
+            <= nine_point_restricted_2d(SheetParams(1.0, 20.0), "D").iterations < 400)
     assert (nine_point_restricted_2d(SheetParams(10.0, 20.0), "K").iterations
-            > SCAN_POINTS[1]**2)
-    # D scans and refines each axis on its own
-    assert (nine_point_restricted_2d(SheetParams(1.0, 2.0), "D").iterations
-            > 2 * SCAN_POINTS[1])
+            > SCAN_POINTS**2)
     assert (four_point_grid_k_optimal(SheetParams(0.2, 0.3)).iterations
-            > SCAN_POINTS[1]**2)
+            > SCAN_POINTS**2)
     # the spacing searches count the sign evaluations of one root bisection
     assert 2 < equidistant_k_optimal_1d(OuParams(1.0), 5).iterations < 100
     assert 2 < two_point_k_optimal(OuParams(1.0)).iterations < 100
@@ -838,7 +954,7 @@ def test_four_point_41_point_scan_finds_the_241_point_basin(monkeypatch):
     # a scan only has to land in the optimum's basin; the refine sets the
     # precision, so the coarse scan's value is no worse than the fine one's
     coarse = [four_point_grid_k_optimal(SheetParams(*p)) for p in FOUR_POINT_PAIRS]
-    monkeypatch.setattr("oudesign.search.SCAN_POINTS", (SCAN_POINTS[0], 241))
+    monkeypatch.setattr("oudesign.search.SCAN_POINTS", 241)
     for p, res in zip(FOUR_POINT_PAIRS, coarse):
         fine = four_point_grid_k_optimal(SheetParams(*p))
         assert res.value <= fine.value * (1.0 + 1e-12), p
@@ -929,42 +1045,15 @@ def test_refine_keeps_a_minimum_at_a_scan_cell_edge(x0):
     # |x - x0| is unimodal, with its minimum at the edge of the nearest
     # scan point's cell (or on it, or at an end): every level's window must
     # still hold it, and the ends are hit exactly
-    tol, (p1, p2) = 1e-10, search.REFINE_POINTS
+    tol, points = 1e-10, search.REFINE_POINTS
     axis = np.linspace(0.0, 1.0, 41)
     (x,), _, evaluations = search._scan_refine(lambda x: np.abs(x - x0), (axis,), tol)
     assert abs(x - x0) <= tol
     assert x == x0 or x0 not in (0.0, 1.0)
-    assert evaluations == axis.size + _refine_levels(axis[1], tol, p1) * p1
+    assert evaluations == axis.size + _refine_levels(axis[1], tol, points) * points
     y0 = 1.0 - x0
     (x, y), _, evaluations = search._scan_refine(
         lambda x, y: np.abs(x - x0) + np.abs(y - y0), (axis, axis), tol)
     assert abs(x - x0) <= tol and abs(y - y0) <= tol
     assert (x, y) == (x0, y0) or x0 not in (0.0, 1.0)
-    assert evaluations == axis.size**2 + _refine_levels(axis[1], tol, p2) * p2**2
-
-
-def one_dimensional_searches():
-    """Every search that refines on one axis, on rates 1e-6..1e7."""
-    runs = {}
-    for rate in (10.0**k for k in range(-6, 8)):
-        for crit in "DK":
-            runs["three-point", crit, rate] = three_point_restricted_1d(OuParams(rate), crit)
-        for n in (3, 30, 1000):
-            runs["equidistant", n, rate] = equidistant_k_optimal_1d(OuParams(rate), n)
-        runs["nine-point", "D", rate] = nine_point_restricted_2d(SheetParams(rate, 1.0), "D")
-    return runs
-
-
-def test_one_dimensional_refine_matches_the_17_point_refine(monkeypatch):
-    # 257-point levels end finer than 17-point ones, so no value is worse
-    # than theirs beyond rounding (nine-point D at rates >= 1e4 gains up to
-    # 3.2e-13, true at 60 digits; everything else is within 8e-15)
-    wide = one_dimensional_searches()
-    monkeypatch.setattr("oudesign.search.REFINE_POINTS", (17, 17))
-    for key, old in one_dimensional_searches().items():
-        new = wide[key]
-        maximized = key[1] == "D"
-        loss = (old.value - new.value if maximized else new.value - old.value) / old.value
-        assert loss <= 2e-14, key
-        assert (new.collapsed, new.converged) == (old.collapsed, old.converged), key
-        assert new.collapsed_axes == old.collapsed_axes, key
+    assert evaluations == axis.size**2 + _refine_levels(axis[1], tol, points) * points**2
